@@ -603,7 +603,7 @@ func BenchmarkReplayContextReuse(b *testing.B) {
 }
 
 // BenchmarkWarmCampaignPlacementFree is PR 4's headline: with the
-// process-wide experiments memo warm, regenerating Table II serves
+// process-wide experiments flight group warm, regenerating Table II serves
 // every cell straight from the analysis cache — zero kernel executions,
 // zero sampling passes, zero probe/sweep placement passes (all three
 // counters gated) — and one warm regeneration must run at least 2x
@@ -611,7 +611,7 @@ func BenchmarkReplayContextReuse(b *testing.B) {
 func BenchmarkWarmCampaignPlacementFree(b *testing.B) {
 	p := platform()
 	if _, err := experiments.Table2(p, true); err != nil {
-		b.Fatal(err) // cold fill of the shared memo
+		b.Fatal(err) // cold fill of the shared flight group
 	}
 	kernels := core.KernelExecutions()
 	samples := core.SamplePasses()
@@ -983,7 +983,7 @@ func BenchmarkColdReplay10x(b *testing.B) {
 }
 
 // BenchmarkColdTable2 measures the fully cold Table II regeneration — a
-// fresh campaign engine with no memo and no caches, every kernel
+// fresh campaign engine with no shared group and no caches, every kernel
 // executed, every cell analysed from scratch. Profiling shows this cost
 // is almost entirely real kernel arithmetic at the default iteration
 // counts (~41 ms/op on the 1-core reference container, unchanged from
@@ -1025,7 +1025,7 @@ func BenchmarkColdTable2(b *testing.B) {
 // BenchmarkColdTable2Workers measures the cold Table II campaign at
 // pinned worker counts and reports throughput as cells/sec — the
 // measured multi-core scaling curve of the bench trajectory. Every run
-// is fully cold (fresh engine, no memo, no caches), so the workers fan
+// is fully cold (fresh engine, no shared group, no caches), so the workers fan
 // out over real kernel executions and analyses. On the 1-core reference
 // container the curve is honestly flat (GOMAXPROCS=1 serialises the
 // goroutines); the >1.5x-at-4-workers expectation is enforced by the CI

@@ -81,7 +81,7 @@ func TestCampaignSeedSweepOneKernelPerFamily(t *testing.T) {
 	baseKernels := core.KernelExecutions()
 	baseDerived := core.DerivedSnapshots()
 	baseSeedDerived := core.SeedDerivations()
-	res, err := (&campaign.Engine{Memo: campaign.NewMemo()}).Run(m)
+	res, err := (&campaign.Engine{Flights: campaign.NewFlightGroup()}).Run(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestCampaignSeedSweepSeedDependentFallsBack(t *testing.T) {
 
 	baseKernels := core.KernelExecutions()
 	baseSeedDerived := core.SeedDerivations()
-	res, err := (&campaign.Engine{Memo: campaign.NewMemo()}).Run(m)
+	res, err := (&campaign.Engine{Flights: campaign.NewFlightGroup()}).Run(m)
 	if err != nil {
 		t.Fatal(err)
 	}

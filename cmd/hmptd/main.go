@@ -48,7 +48,7 @@ func main() {
 func serve(args []string) error {
 	fs := flag.NewFlagSet("hmptd", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
-	cacheDir := fs.String("cache", "", "snapshot cache directory (empty = in-memory memo only)")
+	cacheDir := fs.String("cache", "", "snapshot cache directory (empty = in-memory only)")
 	analysisDir := fs.String("analysis-cache", "", "analysis cache directory (default <cache>/analyses)")
 	par := fs.Int("par", 0, "per-request campaign worker goroutines (0 = GOMAXPROCS)")
 	maxConc := fs.Int("max-concurrent", 0, "max concurrent campaign runs (0 = unlimited)")

@@ -106,9 +106,11 @@ type (
 	// CampaignEngine evaluates campaign matrices; configure Cache and
 	// Parallelism directly.
 	CampaignEngine = campaign.Engine
-	// FlightGroup coalesces concurrent identical capture/analysis
-	// computations across engine runs (CampaignEngine.Flights): the
-	// serving layer's exactly-once layer. See NewFlightGroup.
+	// FlightGroup is the engine's in-process store
+	// (CampaignEngine.Flights): it coalesces concurrent identical
+	// capture/analysis computations across engine runs — the serving
+	// layer's exactly-once layer — and retains their results and every
+	// disk-cache hit. See NewFlightGroup.
 	FlightGroup = campaign.FlightGroup
 	// CacheStats is a point-in-time traffic snapshot of one cache rung
 	// (SnapshotCache.Stats, AnalysisCache.Stats).
@@ -190,12 +192,13 @@ func ShardJournalSkips() int64 { return shard.JournalSkips() }
 
 // NewFlightGroup returns an empty single-flight group to share across
 // engines: N concurrent runs needing the same capture or analysis
-// execute it once and share the result.
+// execute it once and share the result, and later runs are served from
+// the retained entry.
 func NewFlightGroup() *FlightGroup { return campaign.NewFlightGroup() }
 
 // CoalescedFlights returns the number of capture/analysis computations
-// served from an in-flight or retained single-flight entry instead of
-// being executed, process-wide — the serving analogue of the zero-work
+// served from another run's single-flight entry instead of being
+// executed, process-wide — the serving analogue of the zero-work
 // counters below.
 func CoalescedFlights() int64 { return campaign.CoalescedFlights() }
 

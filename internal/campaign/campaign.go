@@ -8,21 +8,25 @@
 // The campaign engine is that idea industrialised for scenario sweeps,
 // as a ladder of content-addressed caches:
 //
-//   - stage zero probes the analysis cache (in-process memo and on-disk
-//     store): cells whose full analysis is already cached are done
-//     without touching a snapshot, a registry, or a placement sweep;
+//   - stage zero probes for complete analyses — first the flight
+//     group, the engine's one in-process store, then the on-disk
+//     analysis cache: cells whose full analysis is already cached are
+//     done without touching a snapshot, a registry, or a placement
+//     sweep;
 //   - stage one resolves every distinct reference run the remaining
-//     cells need — from the content-addressed snapshot cache (so
-//     captures are shared across processes and PRs), by derivation
-//     from a cached or captured family sibling (an iteration/scale
-//     transposition that never executes the kernel; see
-//     core.DeriveSnapshot), or by executing the kernel once per
+//     cells need — from the group or the content-addressed snapshot
+//     cache (so captures are shared across runs and processes), by
+//     derivation from a cached or captured family sibling (an
+//     iteration/scale transposition that never executes the kernel;
+//     see core.DeriveSnapshot), or by executing the kernel once per
 //     derivation family — and builds one shared core.ReplayContext per
 //     capture: the registry is restored and the trace copied once, not
 //     per cell;
-//   - stage two fans the remaining cells over internal/parallel
-//     workers, each replaying its capture's shared context into a tuner
-//     analysis and publishing the result back into the analysis cache.
+//   - stage two probes the GroupBy cells, whose keys need their
+//     capture's sites, then fans the remaining cells over
+//     internal/parallel workers, each replaying its capture's shared
+//     context into a tuner analysis and publishing the result back into
+//     the analysis cache.
 //
 // Replayed analyses are byte-identical to live Tuner.Analyze results
 // (cached ones byte-identical to the run that stored them), and cells
@@ -34,11 +38,11 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"hmpt/internal/core"
 	"hmpt/internal/memsim"
 	"hmpt/internal/parallel"
+	"hmpt/internal/shim"
 	"hmpt/internal/trace"
 	"hmpt/internal/workloads"
 )
@@ -92,8 +96,8 @@ type Cell struct {
 	Analysis *core.Analysis
 	Err      error
 	// FromCache reports whether the cell's reference snapshot was
-	// served from a cache (the in-process memo or the on-disk store)
-	// rather than captured this run.
+	// served from a cache (an entry the flight group retained from an
+	// earlier run, or the on-disk store) rather than captured this run.
 	FromCache bool
 	// Derived reports whether the cell's reference snapshot was
 	// synthesized this run by transposing a derivation-family sibling
@@ -106,13 +110,14 @@ type Cell struct {
 	// implies Derived.
 	SeedDerived bool
 	// AnalysisFromCache reports whether the cell's entire analysis was
-	// served from the analysis cache (memo or disk): the cell ran zero
+	// served from a cache (flight group or disk): the cell ran zero
 	// kernel executions, zero sampling passes and zero placement
 	// costing. Cached analyses are shared read-only.
 	AnalysisFromCache bool
 	// Coalesced reports whether the cell's reference snapshot was served
-	// from another run's in-flight (or retained) capture computation in
-	// a shared FlightGroup instead of being resolved by this run.
+	// from a capture computation another run started in a shared
+	// FlightGroup (joined in flight, or completed after this run's
+	// probe) instead of being resolved by this run.
 	Coalesced bool
 }
 
@@ -122,12 +127,12 @@ type Result struct {
 	// Snapshots is the number of distinct reference runs the matrix
 	// needed beyond the analysis cache; Executions how many of those
 	// were actually executed this run, CacheHits how many were served
-	// from a cache (in-process memo or on-disk store), and Derived how
+	// from a cache (flight group or on-disk store), and Derived how
 	// many were synthesized from a derivation-family sibling without
 	// executing a kernel. Executions + CacheHits + Derived == Snapshots
 	// on a fully successful run.
-	// Coalesced counts captures served from another run's in-flight or
-	// retained computation in a shared FlightGroup. On a fully
+	// Coalesced counts captures served from another run's computation
+	// in a shared FlightGroup (see Cell.Coalesced). On a fully
 	// successful run Executions + CacheHits + Derived + Coalesced ==
 	// Snapshots.
 	Snapshots  int
@@ -141,7 +146,7 @@ type Result struct {
 	// above.
 	SeedDerived int
 	// AnalysisHits counts cells whose complete analysis was served from
-	// the analysis cache (memo or disk) — cells that ran zero kernel
+	// a cache (flight group or disk) — cells that ran zero kernel
 	// executions, zero sampling passes and zero placement costing. A
 	// fully warm campaign has AnalysisHits == len(Cells); if the matrix
 	// is also GroupBy-free, Snapshots == 0 too (GroupBy cells resolve
@@ -182,26 +187,23 @@ func (r *Result) Err() error {
 // Engine evaluates campaign matrices.
 type Engine struct {
 	// Cache persists reference snapshots across runs and processes;
-	// nil keeps snapshots in memory for the single run only.
+	// nil keeps snapshots in memory only.
 	Cache *trace.SnapshotCache
 	// Analyses persists complete analyses across runs and processes —
 	// the third caching layer after snapshots (zero kernels) and
 	// embedded sample counts (zero sampling): a cell served from it
 	// runs zero placement costing, and a fully warm campaign never
-	// resolves a snapshot at all. nil disables the disk layer; a Memo
-	// still shares analyses within the process.
+	// resolves a snapshot at all. nil disables the disk layer; the
+	// flight group still shares analyses in memory.
 	Analyses *core.AnalysisCache
-	// Memo shares captures, replay contexts and analyses between engine
-	// runs within one process (cheaper than the disk caches, checked
-	// first). Several engines may share one Memo.
-	Memo *Memo
-	// Flights coalesces concurrent identical capture and analysis
-	// computations across engine runs: N runs needing the same capture
-	// or the same analysis at the same moment execute it once and share
-	// the result (see FlightGroup). nil creates a private group per Run,
-	// which reproduces the historical per-run memoisation exactly; the
-	// serving layer shares one group (plus one Memo) across all
-	// requests.
+	// Flights is the engine's in-process store. It coalesces concurrent
+	// identical capture and analysis computations across engine runs —
+	// N runs needing the same capture or the same analysis at the same
+	// moment execute it once and share the result — and retains every
+	// computed value and every disk-cache hit, probed before the disk
+	// caches (see FlightGroup). nil creates a private group per Run, so
+	// nothing is shared beyond that run; the serving layer shares one
+	// group across all requests.
 	Flights *FlightGroup
 	// Parallelism caps the worker goroutines of the capture and
 	// analysis fan-outs (0 = GOMAXPROCS). Results are identical for
@@ -209,74 +211,10 @@ type Engine struct {
 	Parallelism int
 }
 
-// Memo is a process-local store of snapshots, shared replay contexts
-// and analyses, safe for concurrent use. Memoised values are shared
-// pointers: callers must treat them as read-only.
-type Memo struct {
-	mu    sync.Mutex
-	snaps map[string]*trace.Snapshot
-	ctxs  map[string]*core.ReplayContext
-	ans   map[string]*core.Analysis
-}
-
-// NewMemo returns an empty memo.
-func NewMemo() *Memo {
-	return &Memo{
-		snaps: make(map[string]*trace.Snapshot),
-		ctxs:  make(map[string]*core.ReplayContext),
-		ans:   make(map[string]*core.Analysis),
-	}
-}
-
-func (m *Memo) get(id string) *trace.Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.snaps[id]
-}
-
-func (m *Memo) put(id string, s *trace.Snapshot) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.snaps == nil {
-		m.snaps = make(map[string]*trace.Snapshot)
-	}
-	m.snaps[id] = s
-}
-
-func (m *Memo) getContext(id string) *core.ReplayContext {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ctxs[id]
-}
-
-func (m *Memo) putContext(id string, c *core.ReplayContext) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.ctxs == nil {
-		m.ctxs = make(map[string]*core.ReplayContext)
-	}
-	m.ctxs[id] = c
-}
-
-func (m *Memo) getAnalysis(id string) *core.Analysis {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ans[id]
-}
-
-func (m *Memo) putAnalysis(id string, a *core.Analysis) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.ans == nil {
-		m.ans = make(map[string]*core.Analysis)
-	}
-	m.ans[id] = a
-}
-
 // capture is one distinct reference run the matrix needs.
 type capture struct {
 	key         trace.SnapshotKey
-	id          string // key.ID(), hashed once
+	id          string // "cap/" + key.ID(): the flight key, hashed once
 	factory     workloads.Factory
 	opts        core.Options
 	snap        *trace.Snapshot
@@ -289,24 +227,22 @@ type capture struct {
 	cacheErr    error // non-fatal: the disk cache failed a load or store
 }
 
-// capOutcome is the shareable result of one capture flight: everything
-// a coalesced run needs to proceed as if it had resolved the capture
-// itself. The pointers are the same shared, read-only values the Memo
-// hands out.
+// capOutcome is the shareable result of one capture flight (or one
+// retained snapshot-cache hit): everything another run needs to proceed
+// as if it had resolved the capture itself. The pointers are shared and
+// read-only.
 type capOutcome struct {
-	snap        *trace.Snapshot
-	ctx         *core.ReplayContext
-	derived     bool
-	seedDerived bool
+	snap *trace.Snapshot
+	ctx  *core.ReplayContext
 }
 
 // cellWork is the per-cell scheduling state of one Run.
 type cellWork struct {
 	cap     *capture
 	key     core.AnalysisKey
-	id      string // key.ID(), hashed once
+	id      string // "an/" + key.ID(): the flight key, hashed once
 	haveKey bool
-	done    bool  // analysis served from the cache before stage 2
+	done    bool  // analysis served from the group or the disk cache
 	aErr    error // non-fatal: the analysis cache failed a load or store
 }
 
@@ -335,9 +271,8 @@ func (e *Engine) Run(m Matrix) (*Result, error) {
 func (e *Engine) RunContext(ctx context.Context, m Matrix) (*Result, error) {
 	flights := e.Flights
 	if flights == nil {
-		// A private group reproduces the historical per-run single
-		// flight: cells sharing one analysis key share one computation
-		// within this run, nothing is shared across runs.
+		// A private group scopes sharing to this run: cells sharing one
+		// analysis key share one computation, nothing outlives the run.
 		flights = NewFlightGroup()
 	}
 	variants := m.Variants
@@ -365,7 +300,7 @@ func (e *Engine) RunContext(ctx context.Context, m Matrix) (*Result, error) {
 				id := key.ID()
 				c, ok := caps[id]
 				if !ok {
-					c = &capture{key: key, id: id, factory: w.Factory, opts: opts}
+					c = &capture{key: key, id: "cap/" + id, factory: w.Factory, opts: opts}
 					caps[id] = c
 				}
 				capOf = append(capOf, c)
@@ -380,37 +315,23 @@ func (e *Engine) RunContext(ctx context.Context, m Matrix) (*Result, error) {
 		work[i].cap = capOf[i]
 	}
 
-	// Stage 0: probe the analysis cache. Cells without a GroupBy policy
-	// have a fully option-derived key (the capture's pre-grouping is
-	// pinned by the snapshot identity), so a warm cell is served here
-	// without resolving its snapshot or restoring a registry at all.
-	// GroupBy cells need the capture's sites to fingerprint the policy;
-	// their probe happens in stage 2, after contexts exist.
-	caching := e.Analyses != nil || e.Memo != nil
-	if caching {
-		err := parallel.ForCtx(ctx, e.workers(len(res.Cells)), len(res.Cells), func(ctx context.Context, _, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if ctx.Err() != nil {
-					return
-				}
-				cell := &res.Cells[i]
-				if cell.Options.GroupBy != nil {
-					continue
-				}
-				key, err := core.AnalysisKeyFor(cell.Workload, cell.Options, nil)
-				if err != nil {
-					continue
-				}
-				work[i].key, work[i].id, work[i].haveKey = key, key.ID(), true
-				if an := e.loadAnalysis(key, work[i].id, &work[i].aErr); an != nil {
-					cell.Analysis, cell.AnalysisFromCache = an, true
-					work[i].done = true
-				}
+	// Stage 0: probe the group and the analysis cache. Cells without a
+	// GroupBy policy have a fully option-derived key (the capture's
+	// pre-grouping is pinned by the snapshot identity), so a warm cell is
+	// served here without resolving its snapshot or restoring a registry
+	// at all. GroupBy cells need the capture's sites to fingerprint the
+	// policy; they probe after stage 1.
+	if err := parallel.ForCtx(ctx, e.workers(len(res.Cells)), len(res.Cells), func(ctx context.Context, _, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if ctx.Err() != nil {
+				return
 			}
-		})
-		if err != nil {
-			return nil, err
+			if res.Cells[i].Options.GroupBy == nil {
+				e.probe(flights, &res.Cells[i], &work[i], nil)
+			}
 		}
+	}); err != nil {
+		return nil, err
 	}
 
 	// Stage 1: resolve every distinct reference run some cell still
@@ -476,25 +397,21 @@ func (e *Engine) RunContext(ctx context.Context, m Matrix) (*Result, error) {
 		}
 	}
 
-	// Stage 2: replay every remaining cell through its capture's shared
-	// context (probing the analysis cache first for GroupBy cells, whose
-	// keys are computable only now) and publish fresh analyses back.
-	// Cells sharing one analysis key share one computation (the flight
-	// group), so within a caching run — and, with a shared group, across
-	// concurrent runs — each placement space is probed and swept at most
-	// once. Probing inside the flight is what keeps fromCache
-	// deterministic: it always precedes any same-key store, so it
-	// reflects the cache state at the start of the run, not worker
-	// timing.
-	// Fan over the not-done cells only: in a partially warm campaign the
-	// cold cells are often contiguous (one new workload's block), and a
-	// static partition over all cells would hand them to one worker.
-	todo := make([]int, 0, len(res.Cells))
-	for i := range work {
-		if !work[i].done {
-			todo = append(todo, i)
+	// Every cell still pending adopts its capture's provenance, and
+	// GroupBy cells, whose keys are computable only now, probe the group
+	// and the analysis cache — all before stage 2 starts. Every probe of
+	// the run thus precedes every store of it, so whether a cell hits
+	// reflects the state at the start of the run, never worker timing.
+	pending := func() []int {
+		todo := make([]int, 0, len(res.Cells))
+		for i := range work {
+			if !work[i].done && res.Cells[i].Err == nil {
+				todo = append(todo, i)
+			}
 		}
+		return todo
 	}
+	todo := pending()
 	if err := parallel.ForCtx(ctx, e.workers(len(todo)), len(todo), func(ctx context.Context, _, lo, hi int) {
 		for t := lo; t < hi; t++ {
 			if ctx.Err() != nil {
@@ -511,36 +428,49 @@ func (e *Engine) RunContext(ctx context.Context, m Matrix) (*Result, error) {
 			cell.Derived = c.derived
 			cell.SeedDerived = c.seedDerived
 			cell.Coalesced = c.coalesced
-			// GroupBy cells compute their key only now (it needs the
-			// capture's sites); their cache probe is deferred into the
-			// flight below so equal-key cells see one deterministic
-			// probe instead of racing a sibling's publish.
-			probeInFlight := false
-			if caching && !work[i].haveKey {
-				key, err := core.AnalysisKeyFor(cell.Workload, cell.Options, c.ctx.Sites())
-				if err == nil {
-					work[i].key, work[i].id, work[i].haveKey = key, key.ID(), true
-					probeInFlight = true
-				}
+			if cell.Options.GroupBy != nil {
+				e.probe(flights, cell, &work[i], c.ctx)
 			}
+		}
+	}); err != nil {
+		return nil, err
+	}
+
+	// Stage 2: replay every remaining cell through its capture's shared
+	// context and publish fresh analyses back. Cells sharing one analysis
+	// key share one computation (the flight group), so within a run — and,
+	// with a shared group, across concurrent runs — each placement space
+	// is probed and swept at most once. Fan over the pending cells only:
+	// in a partially warm campaign the cold cells are often contiguous
+	// (one new workload's block), and a static partition over all cells
+	// would hand them to one worker.
+	todo = pending()
+	if err := parallel.ForCtx(ctx, e.workers(len(todo)), len(todo), func(ctx context.Context, _, lo, hi int) {
+		for t := lo; t < hi; t++ {
+			if ctx.Err() != nil {
+				return
+			}
+			i := todo[t]
+			cell := &res.Cells[i]
+			c := work[i].cap
 			if !work[i].haveKey {
-				// Uncacheable cell (caching off, or a GroupBy policy
-				// that could not be fingerprinted): compute privately,
-				// with the same panic isolation a flight provides.
+				// A policy that could not be fingerprinted: compute
+				// privately, with the same panic isolation a flight
+				// provides.
 				cell.Analysis, cell.Err = safeAnalyze(ctx, c.ctx, cell.Options)
 				continue
 			}
-			val, fromCache, _, err := flights.do(ctx, "an/"+work[i].id, func(fctx context.Context) (any, bool, error) {
-				if probeInFlight {
-					if an := e.loadAnalysis(work[i].key, work[i].id, &work[i].aErr); an != nil {
-						return an, true, nil
-					}
-				}
+			val, fromCache, _, err := flights.do(ctx, work[i].id, func(fctx context.Context) (any, bool, error) {
 				an, aerr := core.NewContextReplay(c.ctx, cell.Options).AnalyzeContext(fctx)
 				if aerr != nil {
 					return nil, false, aerr
 				}
-				e.storeAnalysis(work[i].key, work[i].id, an, &work[i].aErr)
+				if e.Analyses != nil {
+					// A failed write degrades the cache, not the campaign.
+					if err := e.Analyses.Store(work[i].key, an); err != nil && work[i].aErr == nil {
+						work[i].aErr = err
+					}
+				}
 				return an, false, nil
 			})
 			if an, ok := val.(*core.Analysis); ok {
@@ -563,41 +493,34 @@ func (e *Engine) RunContext(ctx context.Context, m Matrix) (*Result, error) {
 	return res, nil
 }
 
-// loadAnalysis serves an analysis from the memo or the disk cache,
-// promoting disk hits into the memo. id is key.ID(), hashed once by the
-// caller. A present-but-unreadable disk entry is recorded as a
-// non-fatal degradation and treated as a miss.
-func (e *Engine) loadAnalysis(key core.AnalysisKey, id string, degraded *error) *core.Analysis {
-	if e.Memo != nil {
-		if an := e.Memo.getAnalysis(id); an != nil {
-			return an
+// probe keys the cell's analysis — rc supplies the sites a GroupBy
+// policy is fingerprinted over, nil for option-keyed cells — and serves
+// it from the group's completed entries or the analysis cache, retaining
+// a disk hit in the group so the next request for the key is a memory
+// hit. A present-but-unreadable disk entry is recorded as a non-fatal
+// degradation and treated as a miss.
+func (e *Engine) probe(flights *FlightGroup, cell *Cell, w *cellWork, rc *core.ReplayContext) {
+	var sites []shim.SiteGroup
+	if rc != nil {
+		sites = rc.Sites()
+	}
+	key, err := core.AnalysisKeyFor(cell.Workload, cell.Options, sites)
+	if err != nil {
+		return
+	}
+	w.key, w.id, w.haveKey = key, "an/"+key.ID(), true
+	val, ok := flights.lookup(w.id)
+	if !ok && e.Analyses != nil {
+		an, hit, err := e.Analyses.Load(key)
+		if err != nil {
+			w.aErr = err
+		} else if hit {
+			flights.add(w.id, an)
+			val, ok = an, true
 		}
 	}
-	if e.Analyses != nil {
-		an, ok, err := e.Analyses.Load(key)
-		if err == nil && ok {
-			if e.Memo != nil {
-				e.Memo.putAnalysis(id, an)
-			}
-			return an
-		}
-		if err != nil && *degraded == nil {
-			*degraded = err
-		}
-	}
-	return nil
-}
-
-// storeAnalysis publishes a fresh analysis into the memo and the disk
-// cache. A failed disk write degrades the cache, not the campaign.
-func (e *Engine) storeAnalysis(key core.AnalysisKey, id string, an *core.Analysis, degraded *error) {
-	if e.Memo != nil {
-		e.Memo.putAnalysis(id, an)
-	}
-	if e.Analyses != nil {
-		if err := e.Analyses.Store(key, an); err != nil && *degraded == nil {
-			*degraded = err
-		}
+	if ok {
+		cell.Analysis, cell.AnalysisFromCache, w.done = val.(*core.Analysis), true, true
 	}
 }
 
@@ -616,11 +539,11 @@ func safeAnalyze(ctx context.Context, rc *core.ReplayContext, opts core.Options)
 }
 
 // resolveFamily fills one derivation family's captures — and their
-// shared replay contexts. Members are first served from the memo and
-// the exact-key disk cache; the remainder derive from a resolved
-// sibling (or, when the whole family missed, from a family-index
-// neighbour on disk) whenever the workload declares the family
-// transforms, and only the residue executes kernels. Derivation
+// shared replay contexts. Members are first served from the group's
+// completed entries and the exact-key disk cache; the remainder derive
+// from a resolved sibling (or, when the whole family missed, from a
+// family-index neighbour on disk) whenever the workload declares the
+// family transforms, and only the residue executes kernels. Derivation
 // refusals — a workload without the interfaces, or a base that lacks a
 // shape the target needs — fall back to execution per member, so the
 // result set is identical to the pre-derivation engine's; members
@@ -633,7 +556,7 @@ func safeAnalyze(ctx context.Context, rc *core.ReplayContext, opts core.Options)
 func (e *Engine) resolveFamily(ctx context.Context, flights *FlightGroup, members []*capture) {
 	var pending []*capture
 	for _, c := range members {
-		if !e.loadCapture(c) {
+		if !e.loadCapture(flights, c) {
 			pending = append(pending, c)
 		}
 	}
@@ -668,14 +591,14 @@ func (e *Engine) resolveFamily(ctx context.Context, flights *FlightGroup, member
 			continue
 		}
 		c := c
-		val, _, shared, err := flights.do(ctx, "cap/"+c.id, func(fctx context.Context) (any, bool, error) {
+		val, _, shared, err := flights.do(ctx, c.id, func(fctx context.Context) (any, bool, error) {
 			if !e.deriveCapture(fctx, c, bases) {
 				e.executeCapture(fctx, c)
 			}
 			if c.err != nil {
 				return nil, false, c.err
 			}
-			return capOutcome{snap: c.snap, ctx: c.ctx, derived: c.derived, seedDerived: c.seedDerived}, false, nil
+			return capOutcome{snap: c.snap, ctx: c.ctx}, false, nil
 		})
 		if ctx.Err() != nil {
 			// Cancelled: this caller may have detached from a flight that
@@ -694,16 +617,10 @@ func (e *Engine) resolveFamily(ctx context.Context, flights *FlightGroup, member
 			continue
 		}
 		if shared {
-			// Another run resolved this capture (or is retaining it from
-			// an earlier request): adopt its shared snapshot and context,
-			// and publish them into this engine's memo so the next run
-			// here is a plain memo hit.
+			// Another run resolved this capture concurrently: adopt its
+			// shared snapshot and context.
 			out := val.(capOutcome)
 			c.snap, c.ctx, c.coalesced = out.snap, out.ctx, true
-			if e.Memo != nil {
-				e.Memo.put(c.id, c.snap)
-				e.Memo.putContext(c.id, c.ctx)
-			}
 		}
 		if c.err == nil && c.snap != nil && !c.derived && !c.coalesced {
 			// A freshly executed member is the preferred base for the
@@ -714,10 +631,10 @@ func (e *Engine) resolveFamily(ctx context.Context, flights *FlightGroup, member
 }
 
 // deriveCapture tries to synthesize the capture from one of the bases,
-// publishing a success into the memo and the disk cache like any other
-// fresh capture. It reports whether the capture was resolved. A dead
-// ctx refuses derivation (the caller's executeCapture fallback refuses
-// too, so the cancelled flight resolves nothing).
+// publishing a success into the disk cache like any other fresh capture
+// (the flight retains it in memory). It reports whether the capture was
+// resolved. A dead ctx refuses derivation (the caller's executeCapture
+// fallback refuses too, so the cancelled flight resolves nothing).
 func (e *Engine) deriveCapture(ctx context.Context, c *capture, bases []*trace.Snapshot) bool {
 	if ctx.Err() != nil {
 		return false
@@ -729,9 +646,6 @@ func (e *Engine) deriveCapture(ctx context.Context, c *capture, bases []*trace.S
 		}
 		c.snap, c.derived = snap, true
 		c.seedDerived = snap.Meta.Seed != b.Meta.Seed
-		if e.Memo != nil {
-			e.Memo.put(c.id, snap)
-		}
 		if e.Cache != nil {
 			if err := e.Cache.Store(c.key, snap); err != nil && c.cacheErr == nil {
 				c.cacheErr = err
@@ -744,36 +658,31 @@ func (e *Engine) deriveCapture(ctx context.Context, c *capture, bases []*trace.S
 }
 
 // loadCapture serves a capture — and its shared replay context — from
-// the memo or the exact-key disk cache, reporting whether it resolved.
-// A corrupt cache entry is treated as a miss (recorded as degradation)
-// and later overwritten.
-func (e *Engine) loadCapture(c *capture) bool {
-	if e.Memo != nil {
-		if ctx := e.Memo.getContext(c.id); ctx != nil {
-			c.snap, c.ctx, c.hit = ctx.Snapshot(), ctx, true
-			return true
-		}
-		if snap := e.Memo.get(c.id); snap != nil {
-			c.snap, c.hit = snap, true
-			e.finishContext(c)
-			return true
-		}
+// the group's completed entries or the exact-key disk cache, reporting
+// whether it resolved. A disk hit is retained in the group, so the next
+// request for the key is a memory hit. A corrupt cache entry is treated
+// as a miss (recorded as degradation) and later overwritten.
+func (e *Engine) loadCapture(flights *FlightGroup, c *capture) bool {
+	if val, ok := flights.lookup(c.id); ok {
+		out := val.(capOutcome)
+		c.snap, c.ctx, c.hit = out.snap, out.ctx, true
+		return true
 	}
-	if e.Cache != nil {
-		snap, ok, err := e.Cache.Load(c.key)
-		if err == nil && ok {
-			c.snap, c.hit = snap, true
-			if e.Memo != nil {
-				e.Memo.put(c.id, snap)
-			}
-			e.finishContext(c)
-			return true
-		}
-		// Entry unreadable or mismatched: surface the degradation,
-		// fall through, and recapture over it.
+	if e.Cache == nil {
+		return false
+	}
+	snap, ok, err := e.Cache.Load(c.key)
+	if err != nil || !ok {
+		// Entry unreadable or mismatched: surface the degradation, fall
+		// through, and recapture over it.
 		c.cacheErr = err
+		return false
 	}
-	return false
+	c.snap, c.hit = snap, true
+	if e.finishContext(c) {
+		flights.add(c.id, capOutcome{snap: c.snap, ctx: c.ctx})
+	}
+	return true
 }
 
 // executeCapture fills a capture by running the kernel — the only place
@@ -792,9 +701,6 @@ func (e *Engine) executeCapture(ctx context.Context, c *capture) {
 		return
 	}
 	c.snap = snap
-	if e.Memo != nil {
-		e.Memo.put(c.id, snap)
-	}
 	if e.Cache != nil {
 		// A failed write degrades the cache, not the campaign: the
 		// capture in hand is valid and the cells proceed from it. Keep
@@ -806,18 +712,16 @@ func (e *Engine) executeCapture(ctx context.Context, c *capture) {
 	e.finishContext(c)
 }
 
-// finishContext builds the capture's shared replay context and memoises
-// it for future runs.
-func (e *Engine) finishContext(c *capture) {
+// finishContext builds the capture's shared replay context, reporting
+// whether it succeeded.
+func (e *Engine) finishContext(c *capture) bool {
 	ctx, err := core.NewContext(c.snap)
 	if err != nil {
 		c.err = err
-		return
+		return false
 	}
 	c.ctx = ctx
-	if e.Memo != nil {
-		e.Memo.putContext(c.id, ctx)
-	}
+	return true
 }
 
 func (e *Engine) workers(n int) int {

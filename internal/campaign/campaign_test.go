@@ -384,7 +384,7 @@ func TestCampaignDedupesEqualAnalysisKeys(t *testing.T) {
 		{Name: "par4", Apply: func(o *core.Options) { o.SweepParallelism = 4 }},
 	}
 	before := core.SweepEvaluations()
-	res, err := (&Engine{Memo: NewMemo()}).Run(m)
+	res, err := (&Engine{Flights: NewFlightGroup()}).Run(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,13 +401,13 @@ func TestCampaignDedupesEqualAnalysisKeys(t *testing.T) {
 		t.Error("equal-key cells produced different analyses")
 	}
 
-	// GroupBy cells resolve their keys (and probe the cache) inside the
-	// shared flight: a cold run still computes once with zero hits, and
-	// a warm re-run over the same memo serves every cell from it.
+	// GroupBy cells resolve their keys (and probe) only after stage 1:
+	// a cold run still computes once with zero hits, and a warm re-run
+	// over the same group serves every cell from it.
 	m.Workloads[0].Options.GroupBy = func(string) string { return "all" }
-	memo := NewMemo()
+	flights := NewFlightGroup()
 	before = core.SweepEvaluations()
-	cold, err := (&Engine{Memo: memo}).Run(m)
+	cold, err := (&Engine{Flights: flights}).Run(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func TestCampaignDedupesEqualAnalysisKeys(t *testing.T) {
 		t.Errorf("cold GroupBy cells reported %d analysis hits, want 0", cold.AnalysisHits)
 	}
 	before = core.SweepEvaluations()
-	warm, err := (&Engine{Memo: memo}).Run(m)
+	warm, err := (&Engine{Flights: flights}).Run(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,11 +432,73 @@ func TestCampaignDedupesEqualAnalysisKeys(t *testing.T) {
 		t.Errorf("warm GroupBy campaign ran %d placement passes, want 0", got)
 	}
 	if warm.AnalysisHits != len(warm.Cells) {
-		t.Errorf("warm GroupBy campaign served %d/%d cells from the memo", warm.AnalysisHits, len(warm.Cells))
+		t.Errorf("warm GroupBy campaign served %d/%d cells from the group", warm.AnalysisHits, len(warm.Cells))
 	}
 	for i := range cold.Cells {
 		if !reflect.DeepEqual(cold.Cells[i].Analysis, warm.Cells[i].Analysis) {
 			t.Errorf("GroupBy cell %d: warm analysis differs from cold", i)
+		}
+	}
+}
+
+// TestSharedGroupRetainsDiskHits: a disk-cache hit is retained in the
+// flight group like a computed value, so once one run has served a key
+// from disk, a later run over the same group is a memory hit — zero
+// analysis-cache and zero snapshot-cache loads — and still reports its
+// cells as analysis-cache hits with byte-identical results. The GroupBy
+// workload covers the capture rung: its cells resolve their snapshot
+// before probing.
+func TestSharedGroupRetainsDiskHits(t *testing.T) {
+	m := testMatrix(t)
+	m.Workloads[2].Options.GroupBy = func(string) string { return "all" }
+	snapDir, anDir := t.TempDir(), t.TempDir()
+	open := func() (*trace.SnapshotCache, *core.AnalysisCache) {
+		t.Helper()
+		snaps, err := trace.NewSnapshotCache(snapDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		analyses, err := core.NewAnalysisCache(anDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snaps, analyses
+	}
+	snaps, analyses := open()
+	cold, err := (&Engine{Cache: snaps, Analyses: analyses}).Run(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	snaps, analyses = open()
+	eng := &Engine{Cache: snaps, Analyses: analyses, Flights: NewFlightGroup()}
+	for run := 0; run < 2; run++ {
+		snapBefore, anBefore := snaps.Stats(), analyses.Stats()
+		res, err := eng.Run(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if res.AnalysisHits != len(res.Cells) {
+			t.Errorf("run %d served %d/%d cells from a cache", run, res.AnalysisHits, len(res.Cells))
+		}
+		for i := range res.Cells {
+			if !reflect.DeepEqual(res.Cells[i].Analysis, cold.Cells[i].Analysis) {
+				t.Errorf("run %d cell %d differs from the cold run", run, i)
+			}
+		}
+		snapLoads := snaps.Stats().Hits - snapBefore.Hits + snaps.Stats().Misses - snapBefore.Misses
+		anLoads := analyses.Stats().Hits - anBefore.Hits + analyses.Stats().Misses - anBefore.Misses
+		if run == 0 && (anLoads != int64(len(res.Cells)) || snapLoads != 1) {
+			t.Errorf("first shared run: %d analysis loads, %d snapshot loads, want %d/1", anLoads, snapLoads, len(res.Cells))
+		}
+		if run == 1 && (anLoads != 0 || snapLoads != 0) {
+			t.Errorf("second shared run: %d analysis loads, %d snapshot loads, want 0/0 (disk hits retained)", anLoads, snapLoads)
 		}
 	}
 }
@@ -578,7 +640,7 @@ func TestCampaignVariants(t *testing.T) {
 }
 
 // TestConcurrentEnginesShareCacheDir is the multi-process-campaign
-// contract exercised in-process: two engines with private memos race
+// contract exercised in-process: two engines with private groups race
 // the same matrix against one snapshot-cache and one analysis-cache
 // directory. Both must succeed with byte-identical results, the shared
 // directories must end up with exactly one complete entry per key (no
@@ -599,7 +661,7 @@ func TestConcurrentEnginesShareCacheDir(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		eng := &Engine{Cache: snaps, Analyses: analyses, Memo: NewMemo()}
+		eng := &Engine{Cache: snaps, Analyses: analyses, Flights: NewFlightGroup()}
 		res, err := eng.Run(m)
 		if err != nil {
 			return nil, err

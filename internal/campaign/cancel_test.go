@@ -35,7 +35,6 @@ func TestRunContextCancelledMidMatrixStopsColdWork(t *testing.T) {
 	started := make(chan struct{}, 3)
 	release := make(chan struct{})
 	flights := NewFlightGroup()
-	memo := NewMemo()
 
 	gated := func(seed uint64) Workload {
 		return Workload{
@@ -65,7 +64,7 @@ func TestRunContextCancelledMidMatrixStopsColdWork(t *testing.T) {
 	var runErr error
 	go func() {
 		defer close(runDone)
-		eng := &Engine{Memo: memo, Flights: flights, Parallelism: 1}
+		eng := &Engine{Flights: flights, Parallelism: 1}
 		res, runErr = eng.RunContext(ctx, m)
 	}()
 
@@ -92,7 +91,7 @@ func TestRunContextCancelledMidMatrixStopsColdWork(t *testing.T) {
 			cancelledSamples, cancelledSweeps)
 	}
 
-	// An identical retry — same keys, same shared memo and flight group —
+	// An identical retry — same keys, same shared flight group —
 	// completes in full: nothing the cancelled run left behind poisons it.
 	retryBaseKernels := core.KernelExecutions()
 	retryBaseSweeps := core.SweepEvaluations()
@@ -111,7 +110,7 @@ func TestRunContextCancelledMidMatrixStopsColdWork(t *testing.T) {
 		},
 		Platforms: m.Platforms,
 	}
-	retry, err := (&Engine{Memo: memo, Flights: flights, Parallelism: 1}).Run(plain)
+	retry, err := (&Engine{Flights: flights, Parallelism: 1}).Run(plain)
 	if err != nil {
 		t.Fatalf("retry after cancellation: %v", err)
 	}
@@ -310,7 +309,7 @@ func TestPoisonedCellFailsCellNotCampaign(t *testing.T) {
 		},
 		Platforms: []Platform{{Name: "xeonmax", Platform: memsim.XeonMax9468()}},
 	}
-	res, err := (&Engine{Memo: NewMemo()}).Run(m)
+	res, err := (&Engine{Flights: NewFlightGroup()}).Run(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +335,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 		Workloads: []Workload{{Name: "synth", Factory: synthFactory(t), Options: core.Options{Seed: 33}}},
 		Platforms: []Platform{{Name: "xeonmax", Platform: memsim.XeonMax9468()}},
 	}
-	res, err := (&Engine{Memo: NewMemo()}).RunContext(ctx, m)
+	res, err := (&Engine{Flights: NewFlightGroup()}).RunContext(ctx, m)
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("RunContext = (%v, %v), want (nil, context.Canceled)", res, err)
 	}

@@ -8,11 +8,13 @@ import (
 )
 
 // coalescedFlights counts flight executions that were *not* performed
-// because an identical computation was already in flight (or already
-// retained) in the sharing FlightGroup — the serving analogue of the
-// zero-work counters KernelExecutions / SamplePasses / SweepEvaluations
-// / DerivedSnapshots. Tests compare deltas to prove N identical
-// concurrent requests execute at most one capture and one analysis.
+// because do found an identical computation already in flight (or
+// already retained) in the sharing FlightGroup. A probe's lookup of a
+// completed entry is a cache hit, not coalescing. It is the serving
+// analogue of the zero-work counters KernelExecutions / SamplePasses /
+// SweepEvaluations / DerivedSnapshots. Tests compare deltas to prove N
+// identical concurrent requests execute at most one capture and one
+// analysis.
 var coalescedFlights atomic.Int64
 
 // CoalescedFlights returns the number of capture/analysis computations
@@ -36,12 +38,16 @@ func RecoveredPanics() int64 { return recoveredPanics.Load() }
 // callers of an in-flight key block and share the result, and later
 // callers are served from the retained entry without recomputing.
 //
-// An Engine with a nil Flights field creates a private group per Run,
-// which reproduces the historical per-run memoisation exactly. A
-// process-wide group shared across engines (the hmptd serving layer)
-// extends the exactly-once guarantee to concurrent requests: N
-// identical requests arriving together execute one kernel and one
-// placement sweep no matter how they interleave.
+// The group is also the engine's only in-process store: besides the
+// flights it ran, it retains every disk-cache hit an engine inserted
+// (add), and engines probe its completed entries (lookup) before the
+// disk caches. An Engine with a nil Flights field creates a private
+// group per Run, so sharing is scoped to that run. A process-wide group
+// shared across engines (the hmptd serving layer) extends the
+// exactly-once guarantee to concurrent requests — N identical requests
+// arriving together execute one kernel and one placement sweep no
+// matter how they interleave — and serves every later request for a key
+// from memory.
 //
 // Cancellation: every flight owns its own context, independent of any
 // caller's, and a reference count of interested callers. A caller whose
@@ -58,16 +64,21 @@ func RecoveredPanics() int64 { return recoveredPanics.Load() }
 // (counted in RecoveredPanics): a poisoned computation fails its
 // callers, not the process.
 //
-// Successful entries are retained for the life of the group — they hold
-// the same shared pointers the Memo does, so retention adds no second
-// copy; eviction is the cache-lifecycle work of ROADMAP item 5. Failed,
-// cancelled and panicked flights are forgotten on completion:
-// concurrent waiters share the error, but later callers retry rather
-// than being pinned to a transient failure forever.
+// Successful entries are retained for the life of the group: there is
+// no byte budget and no eviction, so a long-lived group grows with the
+// number of distinct keys it has served. Failed, cancelled and panicked
+// flights are forgotten on completion: concurrent waiters share the
+// error, but later callers retry rather than being pinned to a
+// transient failure forever.
 type FlightGroup struct {
 	mu      sync.Mutex
 	flights map[string]*flight
 	waiters atomic.Int64
+	// inFlight and retained back the gauges of the same names, kept
+	// current as flights start, complete and are forgotten so that a
+	// metrics scrape never walks the map under mu.
+	inFlight atomic.Int64
+	retained atomic.Int64
 }
 
 // flight is one keyed computation: done closes when the computation
@@ -96,9 +107,8 @@ func NewFlightGroup() *FlightGroup {
 // retained entry (shared=true, counted in CoalescedFlights). fn
 // receives the *flight's* context — alive while any caller remains
 // interested — not any single caller's. flag carries a small
-// per-computation fact the callers share (the analysis path uses it for
-// "served from the analysis cache", which keeps the flag deterministic:
-// the executing flight's probe always precedes any same-key store).
+// per-entry fact the callers share: true for entries add retained (the
+// value was served from a cache), and whatever fn returned otherwise.
 //
 // When ctx dies before the result is ready the caller detaches with
 // ctx.Err(); see the FlightGroup doc for the detach/handoff/abort
@@ -127,6 +137,7 @@ func (g *FlightGroup) do(ctx context.Context, key string, fn func(context.Contex
 	fctx, cancel := context.WithCancel(context.Background())
 	f := &flight{done: make(chan struct{}), cancel: cancel, refs: 1}
 	g.flights[key] = f
+	g.inFlight.Add(1)
 	g.mu.Unlock()
 	go g.run(key, f, fctx, fn)
 	return g.wait(ctx, f, false)
@@ -150,7 +161,10 @@ func (g *FlightGroup) run(key string, f *flight, fctx context.Context, fn func(c
 				delete(g.flights, key)
 			}
 			g.mu.Unlock()
+		} else {
+			g.retained.Add(1)
 		}
+		g.inFlight.Add(-1)
 		close(f.done)
 	}()
 	f.val, f.flag, f.err = fn(fctx)
@@ -189,37 +203,49 @@ func (g *FlightGroup) detach(f *flight) {
 	}
 }
 
-// InFlight returns the number of computations currently executing in
-// the group — the serving layer's queue-visibility gauge.
-func (g *FlightGroup) InFlight() int {
+// lookup returns the value of key's completed entry. An entry still in
+// flight is a miss: lookup never waits and never counts as coalescing.
+func (g *FlightGroup) lookup(key string) (any, bool) {
+	g.mu.Lock()
+	f, ok := g.flights[key]
+	g.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	select {
+	case <-f.done:
+		return f.val, true
+	default:
+		return nil, false
+	}
+}
+
+// add retains val as key's completed entry, flagged as served from a
+// cache, unless the group already holds an entry for key (in flight or
+// completed).
+func (g *FlightGroup) add(key string, val any) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	n := 0
-	for _, f := range g.flights {
-		select {
-		case <-f.done:
-		default:
-			n++
-		}
+	if _, ok := g.flights[key]; ok {
+		return
 	}
-	return n
+	if g.flights == nil {
+		g.flights = make(map[string]*flight)
+	}
+	f := &flight{done: make(chan struct{}), val: val, flag: true}
+	close(f.done)
+	g.flights[key] = f
+	g.retained.Add(1)
 }
+
+// InFlight returns the number of computations currently executing in
+// the group — the serving layer's queue-visibility gauge.
+func (g *FlightGroup) InFlight() int { return int(g.inFlight.Load()) }
 
 // Waiters returns the number of callers currently blocked on another
 // caller's in-flight computation.
 func (g *FlightGroup) Waiters() int { return int(g.waiters.Load()) }
 
-// Retained returns the number of completed entries the group holds.
-func (g *FlightGroup) Retained() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	n := 0
-	for _, f := range g.flights {
-		select {
-		case <-f.done:
-			n++
-		default:
-		}
-	}
-	return n
-}
+// Retained returns the number of completed entries the group holds:
+// finished flights and retained cache hits alike.
+func (g *FlightGroup) Retained() int { return int(g.retained.Load()) }

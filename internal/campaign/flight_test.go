@@ -133,9 +133,9 @@ func (g *gatedWorkload) Run(e *workloads.Env) error {
 // TestConcurrentRunsCoalesceToOneExecution is the serving-layer
 // acceptance criterion at the engine level: K concurrent engine runs
 // needing the same cold scenario — sharing a FlightGroup but nothing
-// else (no disk caches, private memos) — execute exactly one kernel,
-// one sampling pass and one probe+sweep, and the coalescing counter
-// pins the other K-1 capture adoptions and K-1 analysis adoptions.
+// else (no disk caches) — execute exactly one kernel, one sampling pass
+// and one probe+sweep, and the coalescing counter pins the other K-1
+// capture adoptions and K-1 analysis adoptions.
 func TestConcurrentRunsCoalesceToOneExecution(t *testing.T) {
 	const k = 4
 	started := make(chan struct{}, 1)
@@ -170,7 +170,7 @@ func TestConcurrentRunsCoalesceToOneExecution(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eng := &Engine{Memo: NewMemo(), Flights: flights}
+			eng := &Engine{Flights: flights}
 			results[i], errs[i] = eng.Run(m)
 		}()
 	}
@@ -215,8 +215,10 @@ func TestConcurrentRunsCoalesceToOneExecution(t *testing.T) {
 }
 
 // TestSharedFlightsRetainAcrossSequentialRuns proves the retention
-// half: a second run arriving after the first completed is still served
-// without re-executing anything, even with a cold private memo.
+// half: a second run arriving after the first completed is served from
+// the group's retained analysis without re-executing anything, and —
+// because the entry predates the run — reports it as a cache hit, not as
+// a coalesced flight.
 func TestSharedFlightsRetainAcrossSequentialRuns(t *testing.T) {
 	flights := NewFlightGroup()
 	m := Matrix{
@@ -235,7 +237,7 @@ func TestSharedFlightsRetainAcrossSequentialRuns(t *testing.T) {
 	}
 	run := func() *Result {
 		t.Helper()
-		res, err := (&Engine{Memo: NewMemo(), Flights: flights}).Run(m)
+		res, err := (&Engine{Flights: flights}).Run(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,12 +252,18 @@ func TestSharedFlightsRetainAcrossSequentialRuns(t *testing.T) {
 	}
 	baseKernels := core.KernelExecutions()
 	baseSweeps := core.SweepEvaluations()
+	baseCoalesced := CoalescedFlights()
 	warm := run()
-	if warm.Coalesced != 1 || warm.Executions != 0 {
-		t.Errorf("warm run: coalesced=%d executions=%d, want 1/0", warm.Coalesced, warm.Executions)
+	if warm.AnalysisHits != 1 || warm.Snapshots != 0 || warm.Coalesced != 0 {
+		t.Errorf("warm run: analysis hits=%d snapshots=%d coalesced=%d, want 1/0/0",
+			warm.AnalysisHits, warm.Snapshots, warm.Coalesced)
 	}
-	if !warm.Cells[0].Coalesced {
-		t.Error("warm cell not marked Coalesced")
+	if !warm.Cells[0].AnalysisFromCache || warm.Cells[0].Coalesced {
+		t.Errorf("warm cell: analysis-from-cache=%v coalesced=%v, want true/false",
+			warm.Cells[0].AnalysisFromCache, warm.Cells[0].Coalesced)
+	}
+	if got := CoalescedFlights() - baseCoalesced; got != 0 {
+		t.Errorf("CoalescedFlights delta = %d, want 0 (an earlier run's entry is a cache hit)", got)
 	}
 	if got := core.KernelExecutions() - baseKernels; got != 0 {
 		t.Errorf("warm run executed %d kernels, want 0", got)

@@ -8,20 +8,21 @@ import (
 	"hmpt/internal/memsim"
 )
 
-// snapshotMemo shares reference captures, replay contexts and complete
-// analyses between every figure, table and campaign regenerated in this
-// process: each benchmark kernel executes at most once per (config,
-// threads, scale, seed) no matter how many artefacts replay it, each
-// registry is restored and each sweep compiled at most once per
-// capture, and a repeated artefact (a warm Table II) is served straight
-// from the analysis memo with zero placement costing. Memoised analyses
-// are shared read-only.
-var snapshotMemo = campaign.NewMemo()
+// flights is the experiments' one in-process store, shared by every
+// figure, table and campaign regenerated in this process: it retains
+// reference captures, replay contexts and complete analyses, so each
+// benchmark kernel executes at most once per (config, threads, scale,
+// seed) no matter how many artefacts replay it, each registry is
+// restored and each sweep compiled at most once per capture, and a
+// repeated artefact (a warm Table II) is served from its retained
+// analyses with zero placement costing. Retained values are shared
+// read-only.
+var flights = campaign.NewFlightGroup()
 
 // CampaignEngine returns a campaign engine wired to the experiments'
-// shared in-process memo.
+// shared flight group.
 func CampaignEngine() *campaign.Engine {
-	return &campaign.Engine{Memo: snapshotMemo}
+	return &campaign.Engine{Flights: flights}
 }
 
 // SpecWorkload adapts a workload spec to a campaign matrix row. The

@@ -1,11 +1,12 @@
 // Package server is the hmptd serving layer: a long-running HTTP
 // front-end over the campaign engine that keeps the whole cache ladder
-// hot across requests. One process-wide Memo, snapshot cache, analysis
-// cache and FlightGroup back every request, so the engine's exactly-once
-// guarantees extend across concurrent clients: N identical requests
-// arriving together execute at most one kernel and one placement sweep,
-// and a warm request is served with zero kernels, zero sampling passes,
-// zero placement passes and zero derived snapshots.
+// hot across requests. One process-wide FlightGroup — the in-process
+// store — plus the snapshot cache and the analysis cache back every
+// request, so the engine's exactly-once guarantees extend across
+// concurrent clients: N identical requests arriving together execute
+// at most one kernel and one placement sweep, and a warm request is
+// served from memory with zero kernels, zero sampling passes, zero
+// placement passes and zero derived snapshots.
 //
 // The API is deliberately small (ROADMAP item 1 keeps gRPC and
 // streaming for later):
@@ -50,10 +51,10 @@ const StatusClientClosedRequest = 499
 // Config wires a Server to its caches and capacity limits.
 type Config struct {
 	// CacheDir roots the on-disk snapshot cache; empty keeps captures
-	// in the process memo only.
+	// in the process's flight group only.
 	CacheDir string
 	// AnalysisCacheDir roots the on-disk analysis cache; empty keeps
-	// analyses in the process memo only.
+	// analyses in the process's flight group only.
 	AnalysisCacheDir string
 	// Parallelism caps each campaign run's worker goroutines
 	// (0 = GOMAXPROCS).
@@ -82,7 +83,6 @@ type Config struct {
 type Server struct {
 	cfg      Config
 	log      *log.Logger
-	memo     *campaign.Memo
 	flights  *campaign.FlightGroup
 	cache    *trace.SnapshotCache
 	analyses *core.AnalysisCache
@@ -93,14 +93,13 @@ type Server struct {
 }
 
 // New builds a Server over the configured cache tree. Engines created
-// per request share one Memo and one FlightGroup for the life of the
-// process — that sharing is what turns the engine's per-run guarantees
-// into serving-layer guarantees.
+// per request share one FlightGroup for the life of the process — that
+// sharing is what turns the engine's per-run guarantees into
+// serving-layer guarantees.
 func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		log:     cfg.Log,
-		memo:    campaign.NewMemo(),
 		flights: campaign.NewFlightGroup(),
 	}
 	if s.log == nil {
@@ -138,12 +137,11 @@ func New(cfg Config) (*Server, error) {
 }
 
 // engine returns a campaign engine for one request, backed by the
-// server's shared caches, memo and flight group.
+// server's shared caches and flight group.
 func (s *Server) engine() *campaign.Engine {
 	return &campaign.Engine{
 		Cache:       s.cache,
 		Analyses:    s.analyses,
-		Memo:        s.memo,
 		Flights:     s.flights,
 		Parallelism: s.cfg.Parallelism,
 	}

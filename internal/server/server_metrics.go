@@ -92,7 +92,7 @@ func newMetrics(s *Server) *serverMetrics {
 		"Requests currently blocked on another request's in-flight computation.",
 		func() float64 { return float64(s.flights.Waiters()) })
 	reg.NewGaugeFunc("hmptd_flights_retained",
-		"Completed computations retained in the shared flight group.",
+		"Completed entries in the shared flight group, the process's one in-process store: finished computations and retained cache hits.",
 		func() float64 { return float64(s.flights.Retained()) })
 
 	// Cache traffic per rung. A rung that is not configured reports a

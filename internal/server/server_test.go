@@ -155,7 +155,7 @@ func TestAnalyzeServesAndWarms(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !warm.Result.AnalysisFromCache {
-		t.Error("warm request not served from the analysis memo")
+		t.Error("warm request not served from the flight group")
 	}
 	if warm.Result.MaxSpeedup != cold.Result.MaxSpeedup {
 		t.Errorf("warm max speedup %v != cold %v", warm.Result.MaxSpeedup, cold.Result.MaxSpeedup)
@@ -168,11 +168,59 @@ func TestAnalyzeServesAndWarms(t *testing.T) {
 	}
 }
 
+// TestWarmGroupByAnalyzeIsACacheHit: a GroupBy workload (kwave) keys
+// its analysis over its capture's sites, so its warm request probes
+// only after resolving the snapshot. It is still served from the
+// server's flight group as a cache hit: analysis_from_cache=true, zero
+// executions, zero derivations, zero placement passes.
+func TestWarmGroupByAnalyzeIsACacheHit(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	analyze := func() AnalyzeResponse {
+		t.Helper()
+		resp, b := postJSON(t, ts.URL+"/v1/analyze", `{"workload":"kwave"}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, b)
+		}
+		var out AnalyzeResponse
+		if err := json.Unmarshal(b, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	cold := analyze()
+	if cold.Result.AnalysisFromCache {
+		t.Error("cold request claims an analysis hit")
+	}
+	baseKernels := core.KernelExecutions()
+	baseDerived := core.DerivedSnapshots()
+	baseSweeps := core.SweepEvaluations()
+	warm := analyze()
+	if !warm.Result.AnalysisFromCache || !warm.Result.SnapshotFromCache {
+		t.Errorf("warm request: analysis_from_cache=%v snapshot_from_cache=%v, want true/true",
+			warm.Result.AnalysisFromCache, warm.Result.SnapshotFromCache)
+	}
+	if warm.Counters.Executions != 0 || warm.Counters.Derived != 0 || warm.Counters.AnalysisHits != 1 {
+		t.Errorf("warm counters %+v, want 0 executions, 0 derived, 1 analysis hit", warm.Counters)
+	}
+	if d := core.KernelExecutions() - baseKernels; d != 0 {
+		t.Errorf("warm request executed %d kernels, want 0", d)
+	}
+	if d := core.DerivedSnapshots() - baseDerived; d != 0 {
+		t.Errorf("warm request derived %d snapshots, want 0", d)
+	}
+	if d := core.SweepEvaluations() - baseSweeps; d != 0 {
+		t.Errorf("warm request ran %d placement passes, want 0", d)
+	}
+	if warm.Result.MaxSpeedup != cold.Result.MaxSpeedup {
+		t.Errorf("warm max speedup %v != cold %v", warm.Result.MaxSpeedup, cold.Result.MaxSpeedup)
+	}
+}
+
 // TestConcurrentIdenticalRequestsCoalesce is the handler-level
 // acceptance criterion: K identical requests hitting a cold daemon
 // together execute exactly one kernel and one probe+sweep, whatever the
 // interleaving — overlapping requests coalesce on the in-flight
-// computation, stragglers on the retained entry or the memo.
+// computation, stragglers on the retained entry.
 func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	const k = 8
@@ -417,10 +465,10 @@ func TestMetricsParsesAsPrometheusText(t *testing.T) {
 }
 
 // TestTwoDaemonsShareCacheTree is the regression for the single-flight
-// extraction: two daemon instances (separate memos, separate flight
-// groups) sharing one on-disk cache tree run concurrently without
-// corrupting it — the atomic fsatomic publish keeps every entry whole —
-// and a third daemon over the same tree serves fully warm.
+// extraction: two daemon instances (separate flight groups) sharing one
+// on-disk cache tree run concurrently without corrupting it — the atomic
+// fsatomic publish keeps every entry whole — and a third daemon over the
+// same tree serves fully warm.
 func TestTwoDaemonsShareCacheTree(t *testing.T) {
 	cacheDir := t.TempDir()
 	anDir := filepath.Join(cacheDir, "analyses")

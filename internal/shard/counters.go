@@ -27,9 +27,9 @@ var (
 // LeasesAcquired counts successful lease claims (fresh and reclaimed).
 func LeasesAcquired() int64 { return leasesAcquired.Load() }
 
-// LeasesReclaimed counts expired leases torn down and re-claimed from a
-// dead or stalled holder — each one is a crash (or a stall past TTL)
-// the fleet absorbed.
+// LeasesReclaimed counts expired (or unparseable) leases taken over
+// from a dead or stalled holder by publishing the next generation —
+// each one is a crash (or a stall past TTL) the fleet absorbed.
 func LeasesReclaimed() int64 { return leasesReclaimed.Load() }
 
 // LeaseRenewals counts heartbeat renewals.

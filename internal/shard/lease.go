@@ -14,7 +14,7 @@ import (
 )
 
 // leaseSchema names the lease wire format.
-const leaseSchema = "hmpt-lease/v1"
+const leaseSchema = "hmpt-lease/v2"
 
 // errLeaseLost reports that a lease was reclaimed out from under its
 // holder. The holder's response is defined by the package contract:
@@ -28,113 +28,111 @@ type leaseRecord struct {
 	Schema   string `json:"schema"`
 	Manifest string `json:"manifest"`
 	Cell     int    `json:"cell"`
-	// Owner and Seq together identify one *acquisition*: Seq is unique
-	// per claim within an owner, so a holder can distinguish "my current
-	// claim" from "my own earlier claim of this cell" after a reclaim
-	// cycle.
 	Owner    string `json:"owner"`
-	Seq      uint64 `json:"seq"`
 	Acquired int64  `json:"acquired_unix_nano"`
 	Expires  int64  `json:"expires_unix_nano"`
+	// Released marks a record its holder let go of: the cell is free to
+	// claim at the next generation without waiting for the expiry.
+	Released bool `json:"released,omitempty"`
 }
 
 // leaseManager claims, renews and releases the leases of one shard
 // directory on behalf of one owner.
+//
+// A cell's leases form a generation chain, <cell>.g1.lease,
+// <cell>.g2.lease, ...: the highest generation present is the cell's
+// current lease. Every generation is published with an exclusive
+// link(2), the one race arbiter — of any number of claimants of a
+// generation exactly one creates it — and a lease file is only ever
+// written by the worker that created it: renewals rewrite it in place,
+// a release marks it released, and nobody else moves or removes it. A
+// claimant takes over a free, released, expired or garbage head gN by
+// publishing g(N+1), so a generation number is never reused and a
+// holder has lost its lease exactly when the next generation exists.
+// Only the settled-campaign sweeps (Worker.sweep, Merge) remove lease
+// files.
 type leaseManager struct {
 	fs       faultfs.FS
 	dir      string // <shard-dir>/leases
 	manifest string
 	owner    string
 	ttl      time.Duration
-	seq      atomic.Uint64
+	// seq numbers this manager's failure records (attempts).
+	seq atomic.Uint64
 	// reclaimed counts this manager's expired-lease takeovers, for the
 	// worker's shard report (the package counter aggregates the
 	// process).
 	reclaimed atomic.Int64
 }
 
-func (lm *leaseManager) path(cell int) string {
-	return filepath.Join(lm.dir, cellName(cell)+".lease")
+func (lm *leaseManager) path(cell, gen int) string {
+	return filepath.Join(lm.dir, fmt.Sprintf("%s.g%d.lease", cellName(cell), gen))
 }
 
-// lease is one held acquisition.
+// lease is one held acquisition: generation gen of the cell's chain.
 type lease struct {
 	lm   *leaseManager
 	cell int
-	seq  uint64
+	gen  int
 	lost atomic.Bool
 }
 
 // tryAcquire attempts to claim the cell. It returns (nil, nil) when the
-// cell is leased by a live holder — not an error, just not ours — and a
-// lease on success. A dead holder's expired lease is torn down first
-// (rename to a unique tomb: atomic, exactly one of any number of racing
-// reclaimers wins the rename) and then claimed fresh; losing either
-// race reports the cell as unavailable this round.
+// cell is leased by a live holder, or when a peer published the next
+// generation first — not an error, just not ours — and a lease on
+// success. An expired or unparseable head (a dead holder's, or a torn
+// write) is taken over like a free one, and counted as a reclaim.
 //
 // Filesystem errors surface to the caller, which treats them as skips:
 // leases partition work, they do not gate correctness.
 func (lm *leaseManager) tryAcquire(cell int) (*lease, error) {
-	path := lm.path(cell)
-	raw, err := lm.fs.ReadFile(path)
-	switch {
-	case err == nil:
-		var rec leaseRecord
-		// An unparseable lease (torn write by a dying holder) has no
-		// expiry to honour — treat it as expired and reclaim it.
-		if json.Unmarshal(raw, &rec) == nil && rec.Schema == leaseSchema && rec.Manifest == lm.manifest {
-			if time.Now().UnixNano() < rec.Expires {
-				return nil, nil // live holder
-			}
+	gen := 0
+	var head []byte
+	for {
+		raw, err := lm.fs.ReadFile(lm.path(cell, gen+1))
+		if os.IsNotExist(err) {
+			break
 		}
-		// Expired (or garbage): tear it down via rename-to-tomb. The
-		// rename is the race arbiter — if a peer reclaimed first, or the
-		// holder renewed between our read and the rename, the rename
-		// moves *their* fresh record or fails with ENOENT; either way the
-		// claim below settles ownership, and a holder whose renewal lost
-		// discovers it at the next heartbeat and stops (the cell at worst
-		// computes twice, to identical bytes).
-		tomb := fmt.Sprintf("%s.reap-%s-%d", path, lm.owner, lm.seq.Add(1))
-		switch err := lm.fs.Rename(path, tomb); {
-		case err == nil:
-			lm.fs.Remove(tomb)
-			leasesReclaimed.Add(1)
-			lm.reclaimed.Add(1)
-		case os.IsNotExist(err):
-			// A peer's reclaim or the holder's release got there first.
-		default:
+		if err != nil {
 			return nil, err
 		}
-	case os.IsNotExist(err):
-		// Unclaimed.
-	default:
-		return nil, err
+		gen, head = gen+1, raw
 	}
-	return lm.claim(cell)
+	reclaim := false
+	if gen > 0 {
+		var rec leaseRecord
+		switch {
+		case json.Unmarshal(head, &rec) != nil || rec.Schema != leaseSchema || rec.Manifest != lm.manifest:
+			reclaim = true // garbage has no expiry to honour
+		case rec.Released:
+			// Free: its holder let go of the cell.
+		case time.Now().UnixNano() < rec.Expires:
+			return nil, nil // live holder
+		default:
+			reclaim = true
+		}
+	}
+	l, err := lm.claim(cell, gen+1)
+	if l != nil && reclaim {
+		leasesReclaimed.Add(1)
+		lm.reclaimed.Add(1)
+	}
+	return l, err
 }
 
-// claim publishes a fresh lease record with create-if-absent semantics;
-// (nil, nil) means another claimant won.
-func (lm *leaseManager) claim(cell int) (*lease, error) {
-	now := time.Now()
-	rec := leaseRecord{
-		Schema:   leaseSchema,
-		Manifest: lm.manifest,
-		Cell:     cell,
-		Owner:    lm.owner,
-		Seq:      lm.seq.Add(1),
-		Acquired: now.UnixNano(),
-		Expires:  now.Add(lm.ttl).UnixNano(),
-	}
-	raw, err := json.Marshal(rec)
+// claim publishes generation gen of the cell's chain with
+// create-if-absent semantics; (nil, nil) means another claimant won.
+func (lm *leaseManager) claim(cell, gen int) (*lease, error) {
+	l := &lease{lm: lm, cell: cell, gen: gen}
+	raw, err := l.record(false)
 	if err != nil {
 		return nil, err
 	}
-	switch err := fsatomic.PublishExclusiveFS(lm.fs, lm.path(cell), raw); {
+	switch err := fsatomic.PublishExclusiveFS(lm.fs, lm.path(cell, gen), raw); {
 	case err == nil:
 		leasesAcquired.Add(1)
 		activeLeases.Add(1)
-		return &lease{lm: lm, cell: cell, seq: rec.Seq}, nil
+		return l, nil
 	case os.IsExist(err):
 		return nil, nil
 	default:
@@ -142,25 +140,41 @@ func (lm *leaseManager) claim(cell int) (*lease, error) {
 	}
 }
 
-// owned re-reads the lease file and reports whether it still carries
-// this acquisition.
+// record encodes this lease's record with a fresh TTL.
+func (l *lease) record(released bool) ([]byte, error) {
+	now := time.Now()
+	return json.Marshal(leaseRecord{
+		Schema:   leaseSchema,
+		Manifest: l.lm.manifest,
+		Cell:     l.cell,
+		Owner:    l.lm.owner,
+		Acquired: now.UnixNano(),
+		Expires:  now.Add(l.lm.ttl).UnixNano(),
+		Released: released,
+	})
+}
+
+// owned reports whether this acquisition still holds the cell: its own
+// record is intact and unreleased, and the next generation is absent.
 func (l *lease) owned() bool {
-	raw, err := l.lm.fs.ReadFile(l.lm.path(l.cell))
+	raw, err := l.lm.fs.ReadFile(l.lm.path(l.cell, l.gen))
 	if err != nil {
 		return false
 	}
 	var rec leaseRecord
-	if json.Unmarshal(raw, &rec) != nil {
+	if json.Unmarshal(raw, &rec) != nil || rec.Owner != l.lm.owner || rec.Released {
 		return false
 	}
-	return rec.Owner == l.lm.owner && rec.Seq == l.seq
+	_, err = l.lm.fs.ReadFile(l.lm.path(l.cell, l.gen+1))
+	return os.IsNotExist(err)
 }
 
 // renew extends the lease by one TTL. A lease found reclaimed reports
 // errLeaseLost and marks itself lost — every later renew and the
-// release become no-ops. The verify-then-publish window is a benign
-// TOCTOU: it is small against the TTL, and the package contract already
-// tolerates the worst case (one duplicated, byte-identical cell).
+// release become no-ops. A reclaim landing between the ownership check
+// and the rewrite is harmless: the rewrite touches only this
+// generation's file, which is no longer the head, and the next
+// heartbeat discovers the loss.
 func (l *lease) renew() error {
 	if l.lost.Load() {
 		return errLeaseLost
@@ -172,21 +186,11 @@ func (l *lease) renew() error {
 		}
 		return errLeaseLost
 	}
-	now := time.Now()
-	rec := leaseRecord{
-		Schema:   leaseSchema,
-		Manifest: l.lm.manifest,
-		Cell:     l.cell,
-		Owner:    l.lm.owner,
-		Seq:      l.seq,
-		Acquired: now.UnixNano(),
-		Expires:  now.Add(l.lm.ttl).UnixNano(),
-	}
-	raw, err := json.Marshal(rec)
+	raw, err := l.record(false)
 	if err != nil {
 		return err
 	}
-	if err := fsatomic.PublishFS(l.lm.fs, l.lm.path(l.cell), raw); err != nil {
+	if err := fsatomic.PublishFS(l.lm.fs, l.lm.path(l.cell, l.gen), raw); err != nil {
 		// A failed renewal is not a lost lease — the record on disk is
 		// still ours, just aging toward expiry. The next heartbeat
 		// retries.
@@ -196,14 +200,17 @@ func (l *lease) renew() error {
 	return nil
 }
 
-// release removes the lease if this acquisition still holds it.
+// release marks the lease released if this acquisition still holds it.
+// The record stays in place, so the chain keeps its generations and the
+// next claimant publishes the following one.
 func (l *lease) release() {
 	if l.lost.Load() {
 		return
 	}
 	if l.owned() {
-		l.lm.fs.Remove(l.lm.path(l.cell))
-		leasesReleased.Add(1)
+		if raw, err := l.record(true); err == nil && fsatomic.PublishFS(l.lm.fs, l.lm.path(l.cell, l.gen), raw) == nil {
+			leasesReleased.Add(1)
+		}
 	}
 	// The handle is dead either way; only a reclaim detected at renewal
 	// counts as "lost".

@@ -36,7 +36,7 @@ type Merged struct {
 	// Quarantined is the structured partial-failure report.
 	Quarantined []QuarantinedCell
 	// StaleLeases and StaleStaging count the coordination-tree files the
-	// merge swept: leftover lease/tomb files and fsatomic staging
+	// merge swept: leftover lease records and fsatomic staging
 	// residue from killed workers.
 	StaleLeases  int
 	StaleStaging int

@@ -88,7 +88,7 @@ func requireByteIdentical(t *testing.T, single, merged *campaign.Result) {
 }
 
 // requireNoCoordinationLitter asserts the shard dir holds no lease
-// files, reclaim tombs or fsatomic staging residue.
+// files or fsatomic staging residue.
 func requireNoCoordinationLitter(t *testing.T, dir string) {
 	t.Helper()
 	leases, err := os.ReadDir(filepath.Join(dir, leaseDir))
@@ -487,6 +487,80 @@ func TestExpiredLeaseReclaimRaceOneWinner(t *testing.T) {
 		}
 		leases[winner].release()
 	}
+}
+
+// pausingFS is a test-only filesystem that parks its holder before
+// the first write it attempts — a lease manager's first write after
+// reading the cell's lease state is a rename (a reclaim's teardown) or a
+// staging file (a claim's publish) — signalling paused and blocking
+// until resume is closed. Reads pass straight through.
+type pausingFS struct {
+	faultfs.FS
+	once   sync.Once
+	paused chan struct{}
+	resume chan struct{}
+}
+
+func (p *pausingFS) pause() {
+	p.once.Do(func() {
+		close(p.paused)
+		<-p.resume
+	})
+}
+
+func (p *pausingFS) CreateTemp(dir, pattern string) (faultfs.File, error) {
+	p.pause()
+	return p.FS.CreateTemp(dir, pattern)
+}
+
+func (p *pausingFS) Rename(oldpath, newpath string) error {
+	p.pause()
+	return p.FS.Rename(oldpath, newpath)
+}
+
+// TestLeaseReclaimAfterStaleReadLosesToPeer forces the interleaving the
+// reclaim race needs: reclaimer A reads a dead holder's expired lease
+// and is parked before acting on it, reclaimer B reclaims the cell in
+// full, then A resumes with its stale view. A must lose — acting on the
+// stale read must never displace B's fresh lease — and B must still
+// own the cell.
+func TestLeaseReclaimAfterStaleReadLosesToPeer(t *testing.T) {
+	dir := t.TempDir()
+	dead := &leaseManager{fs: faultfs.OS, dir: dir, manifest: "m", owner: "dead", ttl: time.Millisecond}
+	if l, err := dead.tryAcquire(0); err != nil || l == nil {
+		t.Fatalf("dead holder failed to claim: %v", err)
+	}
+	time.Sleep(3 * time.Millisecond) // let the TTL lapse
+
+	pfs := &pausingFS{FS: faultfs.OS, paused: make(chan struct{}), resume: make(chan struct{})}
+	a := &leaseManager{fs: pfs, dir: dir, manifest: "m", owner: "a", ttl: time.Minute}
+	b := &leaseManager{fs: faultfs.OS, dir: dir, manifest: "m", owner: "b", ttl: time.Minute}
+	type result struct {
+		l   *lease
+		err error
+	}
+	aDone := make(chan result, 1)
+	go func() {
+		l, err := a.tryAcquire(0)
+		aDone <- result{l, err}
+	}()
+	<-pfs.paused
+	lb, err := b.tryAcquire(0)
+	if err != nil || lb == nil {
+		t.Fatalf("reclaimer B failed to reclaim the expired lease: %v", err)
+	}
+	close(pfs.resume)
+	ra := <-aDone
+	if ra.err != nil {
+		t.Fatalf("reclaimer A: %v", ra.err)
+	}
+	if ra.l != nil {
+		t.Fatal("both reclaimers won: A's stale read displaced B's fresh lease")
+	}
+	if !lb.owned() {
+		t.Fatal("B no longer owns the lease it reclaimed")
+	}
+	lb.release()
 }
 
 // TestPoisonedCellQuarantines pre-loads a cell with a full failure

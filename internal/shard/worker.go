@@ -380,8 +380,8 @@ func (w *Worker) failCell(i, attempt int, cellErr error) {
 }
 
 // sweep removes stale coordination files once the campaign is settled:
-// every lease (all cells are done — any remaining lease file is a dead
-// holder's), leaked reclaim tombs, and orphaned fsatomic staging files.
+// every lease record (all cells are done, so every generation chain is
+// dead) and orphaned fsatomic staging files.
 // Races with peers running the same sweep are benign; removal errors
 // are ignored (merge sweeps again).
 func (w *Worker) sweep() {
@@ -441,14 +441,17 @@ func (w *Worker) summary(dur time.Duration) *Summary {
 	return s
 }
 
-// publishReport persists the worker's summary for the merge step.
+// publishReport persists the worker's summary for the merge step. It is
+// the one coordination write whose failure fails Run, so it rides the
+// caches' write-path policy: a transient error is retried with backoff.
 func (w *Worker) publishReport(s *Summary) error {
 	raw, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		return err
 	}
 	path := filepath.Join(w.dir, reportDir, w.opts.ID+".json")
-	return fsatomic.PublishFS(w.leases.fs, path, append(raw, '\n'))
+	pub := &fsatomic.Publisher{FS: w.leases.fs}
+	return pub.Publish(path, append(raw, '\n'))
 }
 
 // sleepCtx sleeps for d or until the context ends.
