@@ -197,9 +197,9 @@ func ShardJournalSkips() int64 { return shard.JournalSkips() }
 func NewFlightGroup() *FlightGroup { return campaign.NewFlightGroup() }
 
 // CoalescedFlights returns the number of capture/analysis computations
-// served from another run's single-flight entry instead of being
-// executed, process-wide — the serving analogue of the zero-work
-// counters below.
+// served from another caller's in-flight or retained single-flight entry
+// (including equal-key cells of the same run) instead of being executed,
+// process-wide — the serving analogue of the zero-work counters below.
 func CoalescedFlights() int64 { return campaign.CoalescedFlights() }
 
 // RecoveredPanics returns the number of panics recovered inside

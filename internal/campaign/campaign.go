@@ -242,7 +242,7 @@ type cellWork struct {
 	key     core.AnalysisKey
 	id      string // "an/" + key.ID(): the flight key, hashed once
 	haveKey bool
-	done    bool  // analysis served from the group or the disk cache
+	done    bool  // analysis served in stage 0
 	aErr    error // non-fatal: the analysis cache failed a load or store
 }
 
@@ -326,8 +326,12 @@ func (e *Engine) RunContext(ctx context.Context, m Matrix) (*Result, error) {
 			if ctx.Err() != nil {
 				return
 			}
-			if res.Cells[i].Options.GroupBy == nil {
-				e.probe(flights, &res.Cells[i], &work[i], nil)
+			if res.Cells[i].Options.GroupBy != nil {
+				continue
+			}
+			keyCell(&res.Cells[i], &work[i], nil)
+			if an := e.probe(flights, &work[i]); an != nil {
+				res.Cells[i].Analysis, res.Cells[i].AnalysisFromCache, work[i].done = an, true, true
 			}
 		}
 	}); err != nil {
@@ -397,21 +401,59 @@ func (e *Engine) RunContext(ctx context.Context, m Matrix) (*Result, error) {
 		}
 	}
 
-	// Every cell still pending adopts its capture's provenance, and
-	// GroupBy cells, whose keys are computable only now, probe the group
-	// and the analysis cache — all before stage 2 starts. Every probe of
-	// the run thus precedes every store of it, so whether a cell hits
-	// reflects the state at the start of the run, never worker timing.
-	pending := func() []int {
-		todo := make([]int, 0, len(res.Cells))
-		for i := range work {
-			if !work[i].done && res.Cells[i].Err == nil {
-				todo = append(todo, i)
+	// GroupBy cells key only now, from their capture's sites, and probe
+	// the group and the analysis cache once per distinct key — all before
+	// stage 2 starts. Every probe of the run thus precedes every store of
+	// it, so whether a cell hits reflects the state at the start of the
+	// run, never worker timing.
+	var grouped []int
+	for i := range work {
+		if !work[i].done && res.Cells[i].Options.GroupBy != nil && work[i].cap.err == nil {
+			grouped = append(grouped, i)
+		}
+	}
+	if len(grouped) > 0 {
+		first := make(map[string]int) // flight key -> its probe's index
+		var probes []int              // one cell per distinct key
+		for _, i := range grouped {
+			keyCell(&res.Cells[i], &work[i], work[i].cap.ctx)
+			if _, ok := first[work[i].id]; work[i].haveKey && !ok {
+				first[work[i].id] = len(probes)
+				probes = append(probes, i)
 			}
 		}
-		return todo
+		hits := make([]*core.Analysis, len(probes))
+		if err := parallel.ForCtx(ctx, e.workers(len(probes)), len(probes), func(ctx context.Context, _, lo, hi int) {
+			for t := lo; t < hi; t++ {
+				if ctx.Err() != nil {
+					return
+				}
+				hits[t] = e.probe(flights, &work[probes[t]])
+			}
+		}); err != nil {
+			return nil, err
+		}
+		for _, i := range grouped {
+			if t, ok := first[work[i].id]; ok && hits[t] != nil {
+				res.Cells[i].Analysis, res.Cells[i].AnalysisFromCache = hits[t], true
+			}
+		}
 	}
-	todo := pending()
+
+	// Stage 2: replay every remaining cell through its capture's shared
+	// context and publish fresh analyses back. Cells sharing one analysis
+	// key share one computation (the flight group), so within a run — and,
+	// with a shared group, across concurrent runs — each placement space
+	// is probed and swept at most once. Fan over the cells stage 0 left
+	// only: in a partially warm campaign the cold cells are often
+	// contiguous (one new workload's block), and a static partition over
+	// all cells would hand them to one worker.
+	todo := make([]int, 0, len(res.Cells))
+	for i := range work {
+		if !work[i].done {
+			todo = append(todo, i)
+		}
+	}
 	if err := parallel.ForCtx(ctx, e.workers(len(todo)), len(todo), func(ctx context.Context, _, lo, hi int) {
 		for t := lo; t < hi; t++ {
 			if ctx.Err() != nil {
@@ -428,31 +470,9 @@ func (e *Engine) RunContext(ctx context.Context, m Matrix) (*Result, error) {
 			cell.Derived = c.derived
 			cell.SeedDerived = c.seedDerived
 			cell.Coalesced = c.coalesced
-			if cell.Options.GroupBy != nil {
-				e.probe(flights, cell, &work[i], c.ctx)
+			if cell.AnalysisFromCache {
+				continue // served by the GroupBy probe
 			}
-		}
-	}); err != nil {
-		return nil, err
-	}
-
-	// Stage 2: replay every remaining cell through its capture's shared
-	// context and publish fresh analyses back. Cells sharing one analysis
-	// key share one computation (the flight group), so within a run — and,
-	// with a shared group, across concurrent runs — each placement space
-	// is probed and swept at most once. Fan over the pending cells only:
-	// in a partially warm campaign the cold cells are often contiguous
-	// (one new workload's block), and a static partition over all cells
-	// would hand them to one worker.
-	todo = pending()
-	if err := parallel.ForCtx(ctx, e.workers(len(todo)), len(todo), func(ctx context.Context, _, lo, hi int) {
-		for t := lo; t < hi; t++ {
-			if ctx.Err() != nil {
-				return
-			}
-			i := todo[t]
-			cell := &res.Cells[i]
-			c := work[i].cap
 			if !work[i].haveKey {
 				// A policy that could not be fingerprinted: compute
 				// privately, with the same panic isolation a flight
@@ -493,35 +513,44 @@ func (e *Engine) RunContext(ctx context.Context, m Matrix) (*Result, error) {
 	return res, nil
 }
 
-// probe keys the cell's analysis — rc supplies the sites a GroupBy
-// policy is fingerprinted over, nil for option-keyed cells — and serves
-// it from the group's completed entries or the analysis cache, retaining
-// a disk hit in the group so the next request for the key is a memory
-// hit. A present-but-unreadable disk entry is recorded as a non-fatal
-// degradation and treated as a miss.
-func (e *Engine) probe(flights *FlightGroup, cell *Cell, w *cellWork, rc *core.ReplayContext) {
+// keyCell fingerprints the cell's analysis key — rc supplies the sites
+// a GroupBy policy is fingerprinted over, nil for option-keyed cells. A
+// policy that cannot be fingerprinted leaves the cell unkeyed.
+func keyCell(cell *Cell, w *cellWork, rc *core.ReplayContext) {
 	var sites []shim.SiteGroup
 	if rc != nil {
 		sites = rc.Sites()
 	}
-	key, err := core.AnalysisKeyFor(cell.Workload, cell.Options, sites)
+	if key, err := core.AnalysisKeyFor(cell.Workload, cell.Options, sites); err == nil {
+		w.key, w.id, w.haveKey = key, "an/"+key.ID(), true
+	}
+}
+
+// probe serves a keyed cell's analysis from the group's completed
+// entries or the analysis cache, nil on a miss. A disk hit is retained in
+// the group, so the next request for the key is a memory hit. A
+// present-but-unreadable disk entry is recorded as a non-fatal
+// degradation and treated as a miss.
+func (e *Engine) probe(flights *FlightGroup, w *cellWork) *core.Analysis {
+	if !w.haveKey {
+		return nil
+	}
+	if val, ok := flights.lookup(w.id); ok {
+		return val.(*core.Analysis)
+	}
+	if e.Analyses == nil {
+		return nil
+	}
+	an, hit, err := e.Analyses.Load(w.key)
 	if err != nil {
-		return
+		w.aErr = err
+		return nil
 	}
-	w.key, w.id, w.haveKey = key, "an/"+key.ID(), true
-	val, ok := flights.lookup(w.id)
-	if !ok && e.Analyses != nil {
-		an, hit, err := e.Analyses.Load(key)
-		if err != nil {
-			w.aErr = err
-		} else if hit {
-			flights.add(w.id, an)
-			val, ok = an, true
-		}
+	if !hit {
+		return nil
 	}
-	if ok {
-		cell.Analysis, cell.AnalysisFromCache, w.done = val.(*core.Analysis), true, true
-	}
+	flights.add(w.id, an)
+	return an
 }
 
 // safeAnalyze replays one cell's analysis with panic isolation: a

@@ -503,6 +503,46 @@ func TestSharedGroupRetainsDiskHits(t *testing.T) {
 	}
 }
 
+// TestEqualKeyGroupByCellsProbeOnce: GroupBy cells whose variants leave
+// the analysis key alone probe the analysis cache once per distinct key,
+// not once per cell, and all of them are served from that one load.
+func TestEqualKeyGroupByCellsProbeOnce(t *testing.T) {
+	m := testMatrix(t)
+	m.Workloads = m.Workloads[:1]
+	m.Platforms = m.Platforms[:1]
+	m.Workloads[0].Options.GroupBy = func(string) string { return "all" }
+	m.Variants = []Variant{
+		{Name: "par1", Apply: func(o *core.Options) { o.SweepParallelism = 1 }},
+		{Name: "par2", Apply: func(o *core.Options) { o.SweepParallelism = 2 }},
+		{Name: "par4", Apply: func(o *core.Options) { o.SweepParallelism = 4 }},
+	}
+	dir := t.TempDir()
+	analyses, err := core.NewAnalysisCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&Engine{Analyses: analyses}).Run(m); err != nil {
+		t.Fatal(err)
+	}
+	analyses, err = core.NewAnalysisCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := (&Engine{Analyses: analyses}).Run(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if res.AnalysisHits != len(res.Cells) {
+		t.Errorf("warm run served %d/%d cells from a cache", res.AnalysisHits, len(res.Cells))
+	}
+	if st := analyses.Stats(); st.Hits+st.Misses != 1 {
+		t.Errorf("warm run made %d analysis-cache loads for one distinct key, want 1", st.Hits+st.Misses)
+	}
+}
+
 // TestCampaignRecoversCorruptAnalysisEntry: an unreadable analysis-cache
 // entry is a non-fatal degradation — the cell recomputes through the
 // shared context, the corruption is overwritten with a valid entry, and

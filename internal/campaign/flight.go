@@ -18,8 +18,9 @@ import (
 var coalescedFlights atomic.Int64
 
 // CoalescedFlights returns the number of capture/analysis computations
-// served from an in-flight or retained single-flight entry instead of
-// being executed, process-wide. Tests compare deltas.
+// served from another caller's in-flight or retained single-flight entry
+// (including equal-key cells of the same run) instead of being executed,
+// process-wide. Tests compare deltas.
 func CoalescedFlights() int64 { return coalescedFlights.Load() }
 
 // recoveredPanics counts panics recovered inside flight computations —
@@ -203,8 +204,11 @@ func (g *FlightGroup) detach(f *flight) {
 	}
 }
 
-// lookup returns the value of key's completed entry. An entry still in
-// flight is a miss: lookup never waits and never counts as coalescing.
+// lookup returns the value of key's successfully completed entry. An
+// entry still in flight is a miss: lookup never waits and never counts
+// as coalescing. So is a failed one — run forgets a failure before
+// closing done, but lookup may have read the entry from the map just
+// before that, and f.err is safe to read once done is closed.
 func (g *FlightGroup) lookup(key string) (any, bool) {
 	g.mu.Lock()
 	f, ok := g.flights[key]
@@ -214,6 +218,9 @@ func (g *FlightGroup) lookup(key string) (any, bool) {
 	}
 	select {
 	case <-f.done:
+		if f.err != nil {
+			return nil, false
+		}
 		return f.val, true
 	default:
 		return nil, false

@@ -58,6 +58,30 @@ func TestFlightGroupForgetsFailures(t *testing.T) {
 	}
 }
 
+// TestLookupMissesFailedEntry: a failed flight is visible in the map
+// between its completion and run's delete. lookup must report that
+// state as a miss, and the engine's probes built on it must not adopt
+// the entry's nil value.
+func TestLookupMissesFailedEntry(t *testing.T) {
+	g := NewFlightGroup()
+	f := &flight{done: make(chan struct{}), err: errors.New("boom")}
+	close(f.done)
+	g.flights["an/k"], g.flights["cap/k"] = f, f
+	for _, key := range []string{"an/k", "cap/k"} {
+		if val, ok := g.lookup(key); ok || val != nil {
+			t.Errorf("lookup(%q) = %v/%v, want a miss", key, val, ok)
+		}
+	}
+	e := &Engine{}
+	if an := e.probe(g, &cellWork{id: "an/k", haveKey: true}); an != nil {
+		t.Errorf("probe served %v from a failed flight", an)
+	}
+	c := &capture{id: "cap/k"}
+	if e.loadCapture(g, c) || c.hit {
+		t.Error("loadCapture served a failed flight")
+	}
+}
+
 func TestFlightGroupSharesConcurrently(t *testing.T) {
 	g := NewFlightGroup()
 	const k = 8

@@ -491,9 +491,9 @@ func TestExpiredLeaseReclaimRaceOneWinner(t *testing.T) {
 
 // pausingFS is a test-only filesystem that parks its holder before
 // the first write it attempts — a lease manager's first write after
-// reading the cell's lease state is a rename (a reclaim's teardown) or a
-// staging file (a claim's publish) — signalling paused and blocking
-// until resume is closed. Reads pass straight through.
+// reading the cell's lease chain is the staging file of its claim's
+// publish — signalling paused and blocking until resume is closed.
+// Reads pass straight through.
 type pausingFS struct {
 	faultfs.FS
 	once   sync.Once
@@ -511,11 +511,6 @@ func (p *pausingFS) pause() {
 func (p *pausingFS) CreateTemp(dir, pattern string) (faultfs.File, error) {
 	p.pause()
 	return p.FS.CreateTemp(dir, pattern)
-}
-
-func (p *pausingFS) Rename(oldpath, newpath string) error {
-	p.pause()
-	return p.FS.Rename(oldpath, newpath)
 }
 
 // TestLeaseReclaimAfterStaleReadLosesToPeer forces the interleaving the
@@ -561,6 +556,79 @@ func TestLeaseReclaimAfterStaleReadLosesToPeer(t *testing.T) {
 		t.Fatal("B no longer owns the lease it reclaimed")
 	}
 	lb.release()
+}
+
+// leaseReadPauseFS is a test-only filesystem that parks its holder at
+// its first lease-file read — for a worker, the point between its
+// journal check of a cell and its claim of the cell's lease — signalling
+// paused and blocking until resume is closed.
+type leaseReadPauseFS struct {
+	faultfs.FS
+	once   sync.Once
+	paused chan struct{}
+	resume chan struct{}
+}
+
+func (p *leaseReadPauseFS) ReadFile(name string) ([]byte, error) {
+	if strings.HasSuffix(name, ".lease") {
+		p.once.Do(func() {
+			close(p.paused)
+			<-p.resume
+		})
+	}
+	return p.FS.ReadFile(name)
+}
+
+// TestClaimAfterPeerJournaledIsAJournalHit forces the interleaving in
+// which worker B finds a cell unjournaled, worker A then computes,
+// journals and releases it, and only then does B claim the released
+// lease. B must find A's journal record after its claim instead of
+// computing the cell a second time.
+func TestClaimAfterPeerJournaledIsAJournalHit(t *testing.T) {
+	spec := tinySpec()
+	dir := t.TempDir()
+	if _, err := Plan(dir, spec); err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	pfs := &leaseReadPauseFS{FS: faultfs.OS, paused: make(chan struct{}), resume: make(chan struct{})}
+	optsB := workerOpts("b")
+	optsB.FS = pfs
+	b, err := NewWorker(dir, optsB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		sum *Summary
+		err error
+	}
+	bDone := make(chan result, 1)
+	go func() {
+		sum, err := b.Run(context.Background())
+		bDone <- result{sum, err}
+	}()
+	<-pfs.paused
+
+	a, err := NewWorker(dir, workerOpts("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sumA, err := a.Run(context.Background())
+	if err != nil {
+		t.Fatalf("worker a: %v", err)
+	}
+	close(pfs.resume)
+	rb := <-bDone
+	if rb.err != nil {
+		t.Fatalf("worker b: %v", rb.err)
+	}
+	cells := len(enumerateSpec(t, spec))
+	if sumA.Executed != cells {
+		t.Fatalf("worker a executed %d of %d cells", sumA.Executed, cells)
+	}
+	if rb.sum.Executed != 0 || rb.sum.JournalHits != cells {
+		t.Fatalf("worker b executed %d cells with %d journal hits, want 0/%d (a journaled every cell first)",
+			rb.sum.Executed, rb.sum.JournalHits, cells)
+	}
 }
 
 // TestPoisonedCellQuarantines pre-loads a cell with a full failure

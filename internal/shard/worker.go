@@ -245,13 +245,8 @@ func (w *Worker) Run(ctx context.Context) (*Summary, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			if _, ok := w.journal.load(i); ok {
-				w.settled[i] = true
+			if w.journaled(i) {
 				settled++
-				if !w.mine[i] {
-					w.journalHits++
-					journalSkips.Add(1)
-				}
 				continue
 			}
 			if _, ok := w.attempts.quarantined(i); ok {
@@ -278,6 +273,13 @@ func (w *Worker) Run(ctx context.Context) (*Summary, error) {
 			if l == nil {
 				continue // live holder elsewhere
 			}
+			if w.journaled(i) {
+				// A peer journaled the cell and let go of it between the
+				// check above and this claim.
+				l.release()
+				settled++
+				continue
+			}
 			abandoned, executed := w.runCell(ctx, i, l, len(hist)+1)
 			if abandoned {
 				return nil, errAbandoned
@@ -298,6 +300,20 @@ func (w *Worker) Run(ctx context.Context) (*Summary, error) {
 			}
 		}
 	}
+}
+
+// journaled settles cell i if its journal record exists, counting a
+// peer's record as a journal hit.
+func (w *Worker) journaled(i int) bool {
+	if _, ok := w.journal.load(i); !ok {
+		return false
+	}
+	w.settled[i] = true
+	if !w.mine[i] {
+		w.journalHits++
+		journalSkips.Add(1)
+	}
+	return true
 }
 
 // runCell executes one claimed cell: heartbeat goroutine renewing the
