@@ -23,6 +23,7 @@ import (
 	"hmpt/internal/campaign"
 	"hmpt/internal/core"
 	"hmpt/internal/experiments"
+	"hmpt/internal/faultfs"
 	"hmpt/internal/ibs"
 	"hmpt/internal/memsim"
 	"hmpt/internal/server"
@@ -1173,6 +1174,61 @@ func BenchmarkSeedSweep(b *testing.B) {
 		sweep()
 	}
 	b.ReportMetric(speedup, "per-seed/sweep-speedup")
+}
+
+// BenchmarkFamilyBase measures the derivation-base lookup behind a cache
+// miss on a new seed — SnapshotCache.FamilyBase over an on-disk family
+// index of BT seed siblings — at two family sizes. The lookup stops at
+// the first member whose snapshot loads, so it reads one member record
+// at either size and only the directory listing grows with the family;
+// the run fails if a lookup reads more than one member record.
+func BenchmarkFamilyBase(b *testing.B) {
+	spec, err := experiments.SpecFor("npb.bt")
+	if err != nil {
+		b.Fatal(err)
+	}
+	withSeed := func(seed uint64) core.Options {
+		o := spec.Options
+		o.Seed = seed
+		return o
+	}
+	base, err := core.Capture(spec.Fast(), withSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, size := range []int{8, 128} {
+		b.Run(fmt.Sprintf("members=%d", size), func(b *testing.B) {
+			fs := &faultfs.ReadCounter{FS: faultfs.OS, Ext: ".member"}
+			cache, err := trace.NewSnapshotCacheFS(b.TempDir(), fs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for seed := uint64(1); seed <= uint64(size); seed++ {
+				snap, err := core.DeriveSnapshot(base, spec.Fast(), withSeed(seed))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := cache.Store(core.SnapshotKeyFor(spec.Name, withSeed(seed)), snap); err != nil {
+					b.Fatal(err)
+				}
+			}
+			miss := core.SnapshotKeyFor(spec.Name, withSeed(1<<32))
+			before := fs.Reads()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := cache.FamilyBase(miss); !ok {
+					b.Fatal("no derivation base in a populated family")
+				}
+			}
+			b.StopTimer()
+			reads := float64(fs.Reads()-before) / float64(b.N)
+			if reads > 1 {
+				b.Errorf("lookup read %.1f member records, want at most 1", reads)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "µs/op")
+			b.ReportMetric(reads, "member-reads/op")
+		})
+	}
 }
 
 // ---------------------------------------------------------------------

@@ -603,13 +603,8 @@ func (e *Engine) resolveFamily(ctx context.Context, flights *FlightGroup, member
 		}
 	}
 	if len(bases) == 0 && e.Cache != nil {
-		for _, nk := range e.Cache.FamilyMembers(pending[0].key) {
-			// The index is advisory: an unreadable neighbour is simply
-			// not a base (Load re-validates checksum and metadata).
-			if snap, ok, err := e.Cache.Load(nk); err == nil && ok {
-				bases = append(bases, snap)
-				break
-			}
+		if snap, ok := e.Cache.FamilyBase(pending[0].key); ok {
+			bases = append(bases, snap)
 		}
 	}
 	for _, c := range pending {

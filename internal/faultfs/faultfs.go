@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -76,6 +77,27 @@ func (osFS) CreateTemp(dir, pattern string) (File, error) {
 	}
 	return f, nil
 }
+
+// ReadCounter is a passthrough FS that counts the ReadFile calls whose
+// path has the extension Ext (".member", ".snap"): the seam tests and
+// benchmarks pin a lookup's read count through.
+type ReadCounter struct {
+	FS
+	Ext   string
+	reads atomic.Int64
+}
+
+// ReadFile counts the read when its extension matches, then passes it
+// through.
+func (c *ReadCounter) ReadFile(path string) ([]byte, error) {
+	if filepath.Ext(path) == c.Ext {
+		c.reads.Add(1)
+	}
+	return c.FS.ReadFile(path)
+}
+
+// Reads returns the matching ReadFile calls so far.
+func (c *ReadCounter) Reads() int64 { return c.reads.Load() }
 
 // Config declares an injector's fault schedule. Rates are per-operation
 // probabilities in [0, 1], drawn from the seeded RNG in operation order;

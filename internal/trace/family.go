@@ -12,9 +12,12 @@ import (
 // The family index is the on-disk side of snapshot derivation: a
 // directory per derivation family under <cache>/families/<familyID>/,
 // holding one small record per cached member. A cache lookup that
-// misses its exact key can list the family, load any member as a
-// derivation base, and synthesize the requested snapshot without
-// executing a kernel.
+// misses its exact key asks FamilyBase for a derivation base and
+// synthesizes the requested snapshot without executing a kernel.
+// FamilyBase walks the records in member-ID order and stops at the first
+// member whose snapshot loads, so a miss reads one record (plus any
+// unusable ones sorted before it) however large the family has grown;
+// FamilyMembers, which lists the whole family, is for inspection.
 //
 // Each member record is its own file (named by the member's snapshot
 // ID) published through internal/fsatomic, so concurrent campaigns in
@@ -91,34 +94,36 @@ func (c *SnapshotCache) registerFamily(k SnapshotKey) error {
 	return nil
 }
 
-// FamilyMembers lists the cached members of the key's derivation family,
-// excluding the key itself, in deterministic (member-ID) order.
-// Unreadable or corrupt records are skipped as non-fatal (the index is
-// advisory and every returned key still goes through Load's full
-// validation before use) but counted in Stats().Errors so degraded
-// index health is observable; the next Store of the member re-publishes
-// its record, healing the entry.
-func (c *SnapshotCache) FamilyMembers(k SnapshotKey) []SnapshotKey {
+// walkFamily calls fn with each valid member of the key's derivation
+// family, excluding the key itself, in member-ID order, and stops as
+// soon as fn returns false — so a caller that wants one member reads
+// only the records up to it. The record names are sorted here rather
+// than trusting the filesystem's listing order; a valid record's name is
+// its member ID, so name order is ID order. Unreadable, corrupt or
+// renamed records are skipped as non-fatal (the index is advisory and
+// every member still goes through Load's full validation before use)
+// but counted in Stats().Errors so degraded index health is observable;
+// the next Store of the member re-publishes its record, healing it.
+func (c *SnapshotCache) walkFamily(k SnapshotKey, fn func(SnapshotKey) bool) {
 	fam := k.Family()
-	entries, err := c.fs.ReadDir(c.familyDir(fam))
+	dir := c.familyDir(fam)
+	entries, err := c.fs.ReadDir(dir)
 	if err != nil {
 		if !os.IsNotExist(err) {
 			c.cnt.errors.Add(1)
 		}
-		return nil
+		return
 	}
-	self := k.ID()
-	type member struct {
-		key SnapshotKey
-		id  string
-	}
-	var members []member
+	names := make([]string, 0, len(entries))
 	for _, ent := range entries {
-		name := ent.Name()
-		if ent.IsDir() || filepath.Ext(name) != ".member" {
-			continue
+		if name := ent.Name(); !ent.IsDir() && filepath.Ext(name) == ".member" {
+			names = append(names, name)
 		}
-		raw, err := c.fs.ReadFile(filepath.Join(c.familyDir(fam), name))
+	}
+	sort.Strings(names)
+	self := k.ID()
+	for _, name := range names {
+		raw, err := c.fs.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			c.cnt.errors.Add(1)
 			continue
@@ -139,12 +144,35 @@ func (c *SnapshotCache) FamilyMembers(k SnapshotKey) []SnapshotKey {
 			c.cnt.errors.Add(1)
 			continue
 		}
-		members = append(members, member{key: mk, id: id})
+		if !fn(mk) {
+			return
+		}
 	}
-	sort.Slice(members, func(i, j int) bool { return members[i].id < members[j].id })
-	out := make([]SnapshotKey, len(members))
-	for i, m := range members {
-		out[i] = m.key
-	}
+}
+
+// FamilyMembers lists every cached member of the key's derivation
+// family, excluding the key itself, in deterministic (member-ID) order.
+// It reads the whole family index; FamilyBase is the lookup that stops
+// at the first usable member.
+func (c *SnapshotCache) FamilyMembers(k SnapshotKey) []SnapshotKey {
+	var out []SnapshotKey
+	c.walkFamily(k, func(mk SnapshotKey) bool {
+		out = append(out, mk)
+		return true
+	})
 	return out
+}
+
+// FamilyBase returns the first member of the key's derivation family,
+// in member-ID order, whose snapshot loads — the same base a caller
+// would pick by loading FamilyMembers in order — reading records only
+// up to it, so the records it reads do not grow with the family. A
+// member whose snapshot is missing or fails Load's checksum and
+// metadata validation is passed over; ok is false when no member loads.
+func (c *SnapshotCache) FamilyBase(k SnapshotKey) (base *Snapshot, ok bool) {
+	c.walkFamily(k, func(mk SnapshotKey) bool {
+		base, ok, _ = c.Load(mk)
+		return !ok
+	})
+	return base, ok
 }

@@ -156,12 +156,13 @@ func (d *Decoder) take(n int) []byte {
 
 // Fits rejects count fields whose minimal encoding (unit bytes per
 // element) could not fit in the remaining buffer, before make() trusts
-// them.
+// them. The bound divides rather than multiplies, so a count large
+// enough to wrap count*unit cannot pass.
 func (d *Decoder) Fits(count, unit uint64) error {
 	if d.err != nil {
 		return d.err
 	}
-	if count*unit > uint64(len(d.buf)) {
+	if unit != 0 && count > uint64(len(d.buf))/unit {
 		d.err = fmt.Errorf("wire: count %d exceeds remaining %d bytes", count, len(d.buf))
 	}
 	return d.err
