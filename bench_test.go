@@ -1379,3 +1379,66 @@ func BenchmarkShardedCampaign(b *testing.B) {
 	}
 	b.ReportMetric(float64(cells)/(coldNs/1e9), "cells/sec")
 }
+
+// BenchmarkAnalysisCodec measures the analysis codec on the npb.bt
+// analysis: MB/s through the encoder and decoder, and their allocation
+// counts. The counts are gated, not the timings: an encode must be one
+// allocation (its exact length is computed up front), and a decode at
+// most one allocation per string decoded plus a fixed 8 (the Analysis,
+// its Groups and Configs, and one backing array each for every group's
+// Allocs and every config's Groups and Times).
+func BenchmarkAnalysisCodec(b *testing.B) {
+	spec, err := experiments.SpecFor("npb.bt")
+	if err != nil {
+		b.Fatal(err)
+	}
+	an, err := core.New(spec.Fast(), spec.Options).Analyze()
+	if err != nil {
+		b.Fatal(err)
+	}
+	const id = "bench"
+	raw, err := core.EncodeAnalysisRaw(id, an)
+	if err != nil {
+		b.Fatal(err)
+	}
+	strs := 3 + len(an.Groups) + len(an.Configs) // id, workload, platform and every label
+
+	b.Run("encode", func(b *testing.B) {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := core.EncodeAnalysisRaw(id, an); err != nil {
+				b.Fatal(err)
+			}
+		})
+		b.SetBytes(int64(len(raw)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.EncodeAnalysisRaw(id, an); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(allocs, "encode-allocs/op")
+		if allocs > 1 {
+			b.Errorf("encoding a %d-byte analysis makes %.0f allocations, want 1", len(raw), allocs)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, _, err := core.DecodeAnalysis(raw); err != nil {
+				b.Fatal(err)
+			}
+		})
+		b.SetBytes(int64(len(raw)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := core.DecodeAnalysis(raw); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(allocs, "decode-allocs/op")
+		if limit := float64(strs + 8); allocs > limit {
+			b.Errorf("decoding a %d-byte analysis with %d strings makes %.0f allocations, want <= %.0f", len(raw), strs, allocs, limit)
+		}
+	})
+}

@@ -21,7 +21,10 @@ import (
 // EncodeAnalysis and required by DecodeAnalysis. Bump it on any change
 // to the wire format; cache keys include it, so old entries are simply
 // never addressed again.
-const AnalysisVersion = 1
+//
+// v2 replaced the FNV-64a seal with CRC-32C and added element totals
+// ahead of the group and config sections (see AppendAnalysis).
+const AnalysisVersion = 2
 
 // AnalysisKey identifies one fully-resolved analysis: everything its
 // result is a deterministic function of. The capture identity

@@ -11,38 +11,75 @@ import (
 // analysisMagic leads every encoded analysis.
 const analysisMagic = "HMPTANAL"
 
+// Minimal encoded sizes of one group and one config (every variable
+// part empty), the per-element bounds the decoder checks counts against
+// before trusting them.
+const (
+	minGroupLen  = 8 + 4 + 1 + 4 + 4*8
+	minConfigLen = 4 + 4 + 4 + 3*8 + 4 + 4*8 + 1
+)
+
 // EncodeAnalysis returns the deterministic encoding of the analysis
-// under its cache key: little-endian, length-prefixed strings, floats
-// as exact IEEE-754 bit images, sealed by an FNV-64a checksum — the
-// same wire discipline as the snapshot codec. The key's ID is embedded
-// so a cache Load can detect renamed or colliding entries. The same
-// analysis always encodes to the same bytes, and a decode of those
-// bytes is reflect.DeepEqual to the original (zero-length slices
-// round-trip as nil, matching how the pipeline builds them).
+// under its cache key: the magic, the body AppendAnalysis writes, and a
+// CRC-32C seal — the same wire discipline as the snapshot codec. The
+// key's ID is embedded so a cache Load can detect renamed or colliding
+// entries. The same analysis always encodes to the same bytes, and a
+// decode of those bytes is reflect.DeepEqual to the original
+// (zero-length slices round-trip as nil, matching how the pipeline
+// builds them).
 func EncodeAnalysis(k AnalysisKey, an *Analysis) ([]byte, error) {
 	return encodeAnalysis(k.ID(), an)
 }
 
 // EncodeAnalysisRaw encodes the analysis under a caller-chosen
-// identifier instead of an AnalysisKey. The shard completion journal
-// uses it with its own per-cell record ID: the journal needs the sealed,
-// deterministic wire form (so a torn record fails its checksum and reads
-// as incomplete) but addresses records by campaign cell, not by cache
-// key — a GroupBy cell has no sites-free AnalysisKey to offer. Decoding
-// returns the same identifier for the caller to validate.
+// identifier instead of an AnalysisKey, for callers that address
+// analyses by something other than a cache key — a GroupBy cell has no
+// sites-free AnalysisKey to offer. Decoding returns the same identifier
+// for the caller to validate.
 func EncodeAnalysisRaw(id string, an *Analysis) ([]byte, error) {
 	return encodeAnalysis(id, an)
 }
 
-// encodeAnalysis is EncodeAnalysis over an already-computed key ID.
-func encodeAnalysis(keyID string, an *Analysis) ([]byte, error) {
+// encodeAnalysis seals the body under the analysis magic. The exact
+// length is computed first, so the encode is one allocation.
+func encodeAnalysis(id string, an *Analysis) ([]byte, error) {
 	if an == nil {
 		return nil, fmt.Errorf("core: nil analysis")
 	}
 	var e wire.Encoder
+	e.Grow(len(analysisMagic) + AnalysisLen(id, an) + wire.SealLen)
 	e.Raw([]byte(analysisMagic))
+	AppendAnalysis(&e, id, an)
+	return e.Seal(), nil
+}
+
+// AnalysisLen is the exact number of bytes AppendAnalysis(e, id, an)
+// appends, so an encoder embedding the body can size its buffer once.
+func AnalysisLen(id string, an *Analysis) int {
+	n := 4 + wire.StrLen(id) + wire.StrLen(an.Workload) + wire.StrLen(an.Platform) + 7*8
+	n += 4 + 4
+	for i := range an.Groups {
+		g := &an.Groups[i]
+		n += minGroupLen + len(g.Label) + 8*len(g.Allocs)
+	}
+	n += 4 + 4 + 4
+	for i := range an.Configs {
+		c := &an.Configs[i]
+		n += minConfigLen + 8*len(c.Groups) + len(c.Label) + 8*len(c.Times)
+	}
+	return n
+}
+
+// AppendAnalysis appends the unsealed analysis body: the codec version,
+// the identifier, then every field. EncodeAnalysis wraps it in magic
+// and seal; the shard journal embeds it inline under its own record
+// seal, so a journaled analysis is written and checksummed once. Each
+// slice section is preceded by its element total, letting ReadAnalysis
+// carve all groups' (or configs') slices out of one backing array.
+// an must be non-nil.
+func AppendAnalysis(e *wire.Encoder, id string, an *Analysis) {
 	e.U32(AnalysisVersion)
-	e.Str(keyID)
+	e.Str(id)
 
 	e.Str(an.Workload)
 	e.Str(an.Platform)
@@ -54,7 +91,12 @@ func encodeAnalysis(keyID string, an *Analysis) ([]byte, error) {
 	e.I64(int64(an.TotalAllocs))
 	e.I64(int64(an.SampleCount))
 
+	var allocs int
+	for i := range an.Groups {
+		allocs += len(an.Groups[i].Allocs)
+	}
 	e.U32(uint32(len(an.Groups)))
+	e.U32(uint32(allocs))
 	for i := range an.Groups {
 		g := &an.Groups[i]
 		e.I64(int64(g.Index))
@@ -70,7 +112,14 @@ func encodeAnalysis(keyID string, an *Analysis) ([]byte, error) {
 		e.F64(g.SoloSpeedup)
 	}
 
+	var members, times int
+	for i := range an.Configs {
+		members += len(an.Configs[i].Groups)
+		times += len(an.Configs[i].Times)
+	}
 	e.U32(uint32(len(an.Configs)))
+	e.U32(uint32(members))
+	e.U32(uint32(times))
 	for i := range an.Configs {
 		c := &an.Configs[i]
 		e.U32(c.Mask)
@@ -92,15 +141,13 @@ func encodeAnalysis(keyID string, an *Analysis) ([]byte, error) {
 		e.F64(c.EstSpeedup)
 		e.Bool(c.Feasible)
 	}
-
-	return e.Seal(), nil
 }
 
-// DecodeAnalysis decodes an encoded analysis, validating magic, version
-// and checksum, and returns it together with the embedded key ID. It
+// DecodeAnalysis decodes an encoded analysis, validating magic, seal
+// and version, and returns it together with the embedded key ID. It
 // fails on trailing garbage: an entry holds exactly one analysis.
 func DecodeAnalysis(raw []byte) (*Analysis, string, error) {
-	if len(raw) < len(analysisMagic)+4+8 {
+	if len(raw) < len(analysisMagic)+4+wire.SealLen {
 		return nil, "", fmt.Errorf("core: analysis truncated (%d bytes)", len(raw))
 	}
 	if string(raw[:len(analysisMagic)]) != analysisMagic {
@@ -111,10 +158,29 @@ func DecodeAnalysis(raw []byte) (*Analysis, string, error) {
 		return nil, "", fmt.Errorf("core: analysis: %w", err)
 	}
 	d := wire.NewDecoder(payload[len(analysisMagic):])
+	an, id, err := ReadAnalysis(d)
+	if err != nil {
+		return nil, "", err
+	}
+	if d.Len() != 0 {
+		return nil, "", fmt.Errorf("core: %d trailing bytes after analysis", d.Len())
+	}
+	return an, id, nil
+}
+
+// ReadAnalysis consumes one analysis body written by AppendAnalysis and
+// returns it with its identifier. The caller owns the seal and any
+// trailing-bytes check. Every group's Allocs, every config's Groups and
+// every config's Times are carved out of one backing array per kind;
+// zero-length slices decode as nil.
+func ReadAnalysis(d *wire.Decoder) (*Analysis, string, error) {
 	if v := d.U32(); v != AnalysisVersion {
+		if err := d.Err(); err != nil {
+			return nil, "", err
+		}
 		return nil, "", fmt.Errorf("core: analysis codec version %d, this build reads %d", v, AnalysisVersion)
 	}
-	keyID := d.Str()
+	id := d.Str()
 
 	an := &Analysis{}
 	an.Workload = d.Str()
@@ -127,10 +193,14 @@ func DecodeAnalysis(raw []byte) (*Analysis, string, error) {
 	an.TotalAllocs = int(d.I64())
 	an.SampleCount = int(d.I64())
 
-	nGroups := d.U32()
-	if err := d.Fits(uint64(nGroups), 45); err != nil {
+	nGroups, nAllocs := d.U32(), d.U32()
+	if err := d.Fits(uint64(nGroups), minGroupLen); err != nil {
 		return nil, "", err
 	}
+	if err := d.Fits(uint64(nAllocs), 8); err != nil {
+		return nil, "", err
+	}
+	allocs := carver[shim.AllocID]{buf: make([]shim.AllocID, nAllocs)}
 	if nGroups > 0 {
 		an.Groups = make([]Group, nGroups)
 	}
@@ -139,12 +209,9 @@ func DecodeAnalysis(raw []byte) (*Analysis, string, error) {
 		g.Index = int(d.I64())
 		g.Label = d.Str()
 		g.Rest = d.Bool()
-		nAllocs := d.U32()
-		if err := d.Fits(uint64(nAllocs), 8); err != nil {
+		var err error
+		if g.Allocs, err = allocs.next(d.U32()); err != nil {
 			return nil, "", err
-		}
-		if nAllocs > 0 {
-			g.Allocs = make([]shim.AllocID, nAllocs)
 		}
 		for j := range g.Allocs {
 			g.Allocs[j] = shim.AllocID(d.U64())
@@ -154,23 +221,28 @@ func DecodeAnalysis(raw []byte) (*Analysis, string, error) {
 		g.Density = d.F64()
 		g.SoloSpeedup = d.F64()
 	}
-
-	nConfigs := d.U32()
-	if err := d.Fits(uint64(nConfigs), 61); err != nil {
+	if err := allocs.done(); err != nil {
 		return nil, "", err
 	}
+
+	nConfigs, nMembers, nTimes := d.U32(), d.U32(), d.U32()
+	if err := d.Fits(uint64(nConfigs), minConfigLen); err != nil {
+		return nil, "", err
+	}
+	if err := d.Fits(uint64(nMembers)+uint64(nTimes), 8); err != nil {
+		return nil, "", err
+	}
+	members := carver[int]{buf: make([]int, nMembers)}
+	times := carver[units.Duration]{buf: make([]units.Duration, nTimes)}
 	if nConfigs > 0 {
 		an.Configs = make([]Config, nConfigs)
 	}
 	for i := range an.Configs {
 		c := &an.Configs[i]
 		c.Mask = d.U32()
-		nMembers := d.U32()
-		if err := d.Fits(uint64(nMembers), 8); err != nil {
+		var err error
+		if c.Groups, err = members.next(d.U32()); err != nil {
 			return nil, "", err
-		}
-		if nMembers > 0 {
-			c.Groups = make([]int, nMembers)
 		}
 		for j := range c.Groups {
 			c.Groups[j] = int(d.I64())
@@ -179,12 +251,8 @@ func DecodeAnalysis(raw []byte) (*Analysis, string, error) {
 		c.HBMBytes = units.Bytes(d.I64())
 		c.HBMFrac = d.F64()
 		c.SampleFrac = d.F64()
-		nTimes := d.U32()
-		if err := d.Fits(uint64(nTimes), 8); err != nil {
+		if c.Times, err = times.next(d.U32()); err != nil {
 			return nil, "", err
-		}
-		if nTimes > 0 {
-			c.Times = make([]units.Duration, nTimes)
 		}
 		for j := range c.Times {
 			c.Times[j] = units.Duration(d.F64())
@@ -195,12 +263,45 @@ func DecodeAnalysis(raw []byte) (*Analysis, string, error) {
 		c.EstSpeedup = d.F64()
 		c.Feasible = d.Bool()
 	}
+	if err := members.done(); err != nil {
+		return nil, "", err
+	}
+	if err := times.done(); err != nil {
+		return nil, "", err
+	}
 
 	if err := d.Err(); err != nil {
 		return nil, "", err
 	}
-	if d.Len() != 0 {
-		return nil, "", fmt.Errorf("core: %d trailing bytes after analysis", d.Len())
+	return an, id, nil
+}
+
+// carver hands out consecutive sub-slices of one backing array, each
+// capped at its own length so an append to one cannot overwrite the
+// next. The encoded per-element counts must add up to the declared
+// total exactly.
+type carver[T any] struct {
+	buf []T
+	off int
+}
+
+// next returns the next n elements, or nil when n is 0.
+func (c *carver[T]) next(n uint32) ([]T, error) {
+	if uint64(n) > uint64(len(c.buf)-c.off) {
+		return nil, fmt.Errorf("core: analysis slice of %d elements overruns its declared total %d", n, len(c.buf))
 	}
-	return an, keyID, nil
+	if n == 0 {
+		return nil, nil
+	}
+	s := c.buf[c.off : c.off+int(n) : c.off+int(n)]
+	c.off += int(n)
+	return s, nil
+}
+
+// done fails unless every element of the backing array was handed out.
+func (c *carver[T]) done() error {
+	if c.off != len(c.buf) {
+		return fmt.Errorf("core: analysis declares %d slice elements but uses %d", len(c.buf), c.off)
+	}
+	return nil
 }

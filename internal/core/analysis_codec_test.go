@@ -1,0 +1,182 @@
+package core
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"hmpt/internal/wire"
+	"hmpt/internal/workloads/synth"
+)
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// goldenAnalysisPath is the committed encoding of testAnalysis under
+// the identifier "golden".
+var goldenAnalysisPath = filepath.Join("testdata", "analysis_v2.anl")
+
+// TestAnalysisGolden pins the on-disk format: the sample analysis must
+// encode to exactly the committed golden bytes, and the golden bytes
+// must decode to exactly the sample analysis. Any codec change breaks
+// this test and must bump AnalysisVersion with a new golden file.
+func TestAnalysisGolden(t *testing.T) {
+	enc, err := EncodeAnalysisRaw("golden", testAnalysis())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenAnalysisPath, enc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden, err := os.ReadFile(goldenAnalysisPath)
+	if err != nil {
+		t.Fatalf("reading golden file (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(enc, golden) {
+		t.Errorf("encoding diverged from golden file (%d vs %d bytes); bump AnalysisVersion for format changes", len(enc), len(golden))
+	}
+	dec, id, err := DecodeAnalysis(golden)
+	if err != nil {
+		t.Fatalf("decoding golden file: %v", err)
+	}
+	if id != "golden" || !reflect.DeepEqual(testAnalysis(), dec) {
+		t.Error("golden file decodes to a different analysis")
+	}
+}
+
+// TestAnalysisLenIsExact: AnalysisLen predicts the body length exactly,
+// so an encode sizes its buffer once — for a populated analysis, a
+// real one, and one with every slice empty.
+func TestAnalysisLenIsExact(t *testing.T) {
+	for name, an := range map[string]*Analysis{
+		"sample": testAnalysis(),
+		"synth":  analyzeDefault(t),
+		"empty":  {Workload: "w"},
+	} {
+		raw, err := EncodeAnalysisRaw("id", an)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := len(analysisMagic) + AnalysisLen("id", an) + wire.SealLen; len(raw) != want {
+			t.Errorf("%s: encoded %d bytes, AnalysisLen predicts %d", name, len(raw), want)
+		}
+	}
+}
+
+// TestDecodedSlicesAreIndependent: the decoder carves every config's
+// Groups and Times out of shared backing arrays, so each carved slice
+// must be capped at its own length — appending to one config's slice
+// must not overwrite its neighbour's elements.
+func TestDecodedSlicesAreIndependent(t *testing.T) {
+	raw, err := EncodeAnalysisRaw("id", testAnalysis())
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, _, err := DecodeAnalysis(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an.Configs[1].Groups = append(an.Configs[1].Groups, 99)
+	an.Configs[0].Times = append(an.Configs[0].Times, 99)
+	an.Groups[0].Allocs = append(an.Groups[0].Allocs, 99)
+	want := testAnalysis()
+	if !reflect.DeepEqual(an.Configs[2], want.Configs[2]) || !reflect.DeepEqual(an.Configs[1].Times, want.Configs[1].Times) {
+		t.Fatal("appending to a decoded config slice overwrote the next config")
+	}
+	if !reflect.DeepEqual(an.Groups[1].Allocs, want.Groups[1].Allocs) {
+		t.Fatal("appending to a decoded group's Allocs overwrote the next group")
+	}
+}
+
+// TestDecodeAnalysisRejectsBadTotals: the element totals ahead of the
+// config section must match the per-config counts exactly, in both
+// directions, and bool fields accept only 0 and 1.
+func TestDecodeAnalysisRejectsBadTotals(t *testing.T) {
+	an := testAnalysis()
+	good, err := EncodeAnalysisRaw("id", an)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The config section opens with three u32s: count, total Groups
+	// members, total Times.
+	timesTotal := len(analysisMagic) + AnalysisLen("id", an) - configsLen(an) - 4
+	reseal := func(mutate func(b []byte)) []byte {
+		b := append([]byte(nil), good[:len(good)-wire.SealLen]...)
+		mutate(b)
+		var e wire.Encoder
+		e.Raw(b)
+		return e.Seal()
+	}
+	for name, delta := range map[string]byte{"total too small": 0xff, "total too large": 1} {
+		raw := reseal(func(b []byte) { b[timesTotal] += delta })
+		if _, _, err := DecodeAnalysis(raw); err == nil {
+			t.Errorf("%s: decoded an analysis whose Times total disagrees with its configs", name)
+		}
+	}
+	raw := reseal(func(b []byte) { b[len(b)-1] = 2 }) // the last config's Feasible flag
+	if _, _, err := DecodeAnalysis(raw); err == nil {
+		t.Error("decoded a bool byte of 2")
+	}
+}
+
+// configsLen is the encoded size of an's config entries (excluding the
+// section's count and totals).
+func configsLen(an *Analysis) int {
+	n := 0
+	for i := range an.Configs {
+		c := &an.Configs[i]
+		n += minConfigLen + 8*len(c.Groups) + len(c.Label) + 8*len(c.Times)
+	}
+	return n
+}
+
+// FuzzDecodeAnalysis: the decoder never panics on arbitrary bytes, and
+// any input it accepts re-encodes to exactly the same bytes. Each input
+// is also tried re-sealed, so mutations reach the body decoder instead
+// of stopping at the checksum.
+func FuzzDecodeAnalysis(f *testing.F) {
+	if golden, err := os.ReadFile(goldenAnalysisPath); err == nil {
+		f.Add(golden)
+	}
+	live, err := New(synth.Default(), Options{Seed: 42}).Analyze()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, an := range []*Analysis{testAnalysis(), {Workload: "w"}, live} {
+		raw, err := EncodeAnalysisRaw("seed", an)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		requireAnalysisRoundTrip(t, raw)
+		if len(raw) >= wire.SealLen {
+			var e wire.Encoder
+			e.Raw(raw[:len(raw)-wire.SealLen])
+			requireAnalysisRoundTrip(t, e.Seal())
+		}
+	})
+}
+
+func requireAnalysisRoundTrip(t *testing.T, raw []byte) {
+	t.Helper()
+	an, id, err := DecodeAnalysis(raw)
+	if err != nil {
+		return
+	}
+	re, err := EncodeAnalysisRaw(id, an)
+	if err != nil {
+		t.Fatalf("re-encoding an accepted analysis: %v", err)
+	}
+	if !bytes.Equal(re, raw) {
+		t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(raw), len(re))
+	}
+}

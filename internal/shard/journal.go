@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,12 +14,14 @@ import (
 )
 
 // journalMagic leads every completion record; journalVersion gates the
-// layout. Version 2 added the SeedDerived provenance flag; version-1
-// records read as incomplete, which is the designed retirement path
+// layout. Version 2 added the SeedDerived provenance flag; version 3
+// embeds the analysis body inline under the record's single CRC-32C
+// seal instead of as a nested sealed string. Records of an older
+// version read as incomplete, which is the designed retirement path
 // (the cell re-executes and re-journals).
 const (
 	journalMagic   = "HMPTJNL1"
-	journalVersion = 2
+	journalVersion = 3
 )
 
 // cellRecord is one journaled cell completion: the cell coordinates and
@@ -55,15 +58,21 @@ func (j *journal) path(cell int) string {
 	return filepath.Join(j.dir, cellName(cell)+".done")
 }
 
-// encode seals a record with the analysis wire codec: deterministic
-// little-endian fields under an FNV-64a seal, the analysis embedded in
-// its own sealed encoding. Any torn prefix fails CheckSeal on read.
+// encode seals a record: deterministic little-endian header fields,
+// then the analysis body (core.AppendAnalysis) under the record's
+// manifest-scoped identifier, then one CRC-32C seal over all of it. The
+// exact length is computed first, so encoding is one allocation, and
+// any torn prefix fails CheckSeal on read.
 func (j *journal) encode(rec *cellRecord) ([]byte, error) {
-	an, err := core.EncodeAnalysisRaw(cellRecordID(j.manifest, rec.Cell), rec.Analysis)
-	if err != nil {
-		return nil, err
+	if rec.Analysis == nil {
+		return nil, fmt.Errorf("shard: nil analysis")
 	}
+	id := cellRecordID(j.manifest, rec.Cell)
 	var e wire.Encoder
+	e.Grow(len(journalMagic) + 4 + wire.StrLen(j.manifest) + 8 +
+		wire.StrLen(rec.Workload) + wire.StrLen(rec.Platform) +
+		wire.StrLen(rec.Variant) + wire.StrLen(rec.Owner) + 5 +
+		core.AnalysisLen(id, rec.Analysis) + wire.SealLen)
 	e.Raw([]byte(journalMagic))
 	e.U32(journalVersion)
 	e.Str(j.manifest)
@@ -77,16 +86,19 @@ func (j *journal) encode(rec *cellRecord) ([]byte, error) {
 	e.Bool(rec.SeedDerived)
 	e.Bool(rec.AnalysisFromCache)
 	e.Bool(rec.Coalesced)
-	e.Str(string(an))
+	core.AppendAnalysis(&e, id, rec.Analysis)
 	return e.Seal(), nil
 }
 
 // complete publishes the cell's completion record. The publish is a
 // plain atomic rename — last write wins — because duplicate completions
-// are byte-identical by construction; there is nothing to arbitrate.
-// The record is read back and validated after publishing: a publish the
-// disk silently corrupted must surface as a failure here (so the cell
-// retries) rather than as a settled cell whose record nobody can read.
+// carry the same analysis bytes; there is nothing to arbitrate. The
+// record is read back after publishing and compared byte for byte with
+// what was published: a publish the disk silently corrupted must
+// surface as a failure here (so the cell retries) rather than as a
+// settled cell whose record nobody can read. Only when the bytes differ
+// is the read-back decoded — a duplicate completion by a peer differs in
+// its Owner field and still settles the cell.
 func (j *journal) complete(rec *cellRecord) error {
 	raw, err := j.encode(rec)
 	if err != nil {
@@ -95,8 +107,13 @@ func (j *journal) complete(rec *cellRecord) error {
 	if err := fsatomic.PublishFS(j.fs, j.path(rec.Cell), raw); err != nil {
 		return fmt.Errorf("shard: journaling %s: %w", cellName(rec.Cell), err)
 	}
-	if _, ok := j.load(rec.Cell); !ok {
-		return fmt.Errorf("shard: journaling %s: record unreadable after publish", cellName(rec.Cell))
+	back, err := j.fs.ReadFile(j.path(rec.Cell))
+	if err == nil && !bytes.Equal(back, raw) {
+		_, err = j.decode(rec.Cell, back)
+	}
+	if err != nil {
+		journalInvalid.Add(1)
+		return fmt.Errorf("shard: journaling %s: record unreadable after publish: %w", cellName(rec.Cell), err)
 	}
 	cellsJournaled.Add(1)
 	return nil
@@ -104,9 +121,9 @@ func (j *journal) complete(rec *cellRecord) error {
 
 // load returns the cell's completion record, or ok=false when the cell
 // is not (validly) journaled. Every failure mode — missing file, torn
-// record, wrong campaign, wrong cell, analysis checksum mismatch —
-// reads as *incomplete*: the cell re-executes rather than trusting a
-// damaged record. Damage beyond simple absence is counted.
+// record, wrong campaign, wrong cell, seal mismatch — reads as
+// *incomplete*: the cell re-executes rather than trusting a damaged
+// record. Damage beyond simple absence is counted.
 func (j *journal) load(cell int) (*cellRecord, bool) {
 	raw, err := j.fs.ReadFile(j.path(cell))
 	if err != nil {
@@ -123,9 +140,11 @@ func (j *journal) load(cell int) (*cellRecord, bool) {
 	return rec, true
 }
 
-// decode validates and decodes one record for the given cell.
+// decode validates and decodes one record for the given cell: magic,
+// seal, version, manifest, cell index, the embedded analysis identifier
+// and the absence of trailing bytes.
 func (j *journal) decode(cell int, raw []byte) (*cellRecord, error) {
-	if len(raw) < len(journalMagic)+4+8 {
+	if len(raw) < len(journalMagic)+4+wire.SealLen {
 		return nil, fmt.Errorf("shard: journal record truncated (%d bytes)", len(raw))
 	}
 	if string(raw[:len(journalMagic)]) != journalMagic {
@@ -156,16 +175,12 @@ func (j *journal) decode(cell int, raw []byte) (*cellRecord, error) {
 	rec.SeedDerived = d.Bool()
 	rec.AnalysisFromCache = d.Bool()
 	rec.Coalesced = d.Bool()
-	anRaw := d.Str()
-	if err := d.Err(); err != nil {
+	an, id, err := core.ReadAnalysis(d)
+	if err != nil {
 		return nil, err
 	}
 	if d.Len() != 0 {
 		return nil, fmt.Errorf("shard: %d trailing bytes after journal record", d.Len())
-	}
-	an, id, err := core.DecodeAnalysis([]byte(anRaw))
-	if err != nil {
-		return nil, err
 	}
 	if want := cellRecordID(j.manifest, cell); id != want {
 		return nil, fmt.Errorf("shard: journal analysis identity mismatch for %s", cellName(cell))

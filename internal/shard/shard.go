@@ -8,9 +8,10 @@
 // across the fleet by construction. Workers then claim cells through
 // lease files (atomic create-if-absent via link(2), heartbeat-renewed,
 // TTL-expired), execute each claimed cell on a normal campaign engine,
-// and record completion in a per-cell journal whose records are sealed
-// with the analysis wire codec: a torn or half-written record fails its
-// checksum and reads as *incomplete*, never as falsely done.
+// and record completion in a per-cell journal whose records embed the
+// analysis wire body under one CRC-32C seal: a torn or half-written
+// record fails its checksum and reads as *incomplete*, never as falsely
+// done.
 //
 // The correctness split is deliberate: leases are an efficiency
 // mechanism that partitions work, not a correctness mechanism. If a

@@ -20,7 +20,7 @@ import (
 // the same snapshot always encodes to the same bytes, so encoded
 // snapshots can be content-addressed, diffed and golden-tested. The
 // format is little-endian throughout, strings are length-prefixed, and
-// the payload is sealed by an FNV-64a checksum.
+// the payload is sealed by a CRC-32C checksum.
 type Snapshot struct {
 	Meta     Meta
 	Registry *shim.Registry
@@ -98,7 +98,10 @@ type Meta struct {
 // of a v2 capture were derived over the raw phase sequence and would not
 // validate against a canonicalised replay, so the bump retires them
 // wholesale.
-const SnapshotVersion = 3
+//
+// v4 replaced the FNV-64a seal with CRC-32C and made the sample-counts
+// presence flag a strict bool.
+const SnapshotVersion = 4
 
 // snapshotMagic leads every encoded snapshot.
 const snapshotMagic = "HMPTSNAP"
@@ -119,6 +122,7 @@ func (s *Snapshot) EncodeBytes() ([]byte, error) {
 		return nil, fmt.Errorf("trace: snapshot missing registry or trace")
 	}
 	var e wire.Encoder
+	e.Grow(s.encodedLen())
 	e.Raw([]byte(snapshotMagic))
 	e.U32(SnapshotVersion)
 
@@ -172,8 +176,8 @@ func (s *Snapshot) EncodeBytes() ([]byte, error) {
 		}
 	}
 
+	e.Bool(s.Samples != nil)
 	if sc := s.Samples; sc != nil {
-		e.U8(1)
 		e.U32(sc.SamplerVersion)
 		e.I64(sc.Period)
 		e.I64(sc.Total)
@@ -184,11 +188,30 @@ func (s *Snapshot) EncodeBytes() ([]byte, error) {
 			e.I64(a.Samples)
 			e.I64(a.Reads)
 		}
-	} else {
-		e.U8(0)
 	}
 
 	return e.Seal(), nil
+}
+
+// encodedLen is the exact length EncodeBytes produces, so an encode
+// sizes its buffer once.
+func (s *Snapshot) encodedLen() int {
+	n := len(snapshotMagic) + 4
+	n += wire.StrLen(s.Meta.Workload) + wire.StrLen(s.Meta.Config) + 8*8
+	n += 4 + 3*8
+	for i := range s.Registry.Allocs {
+		n += 9*8 + wire.StrLen(s.Registry.Allocs[i].Label)
+	}
+	n += 4
+	for i := range s.Trace.Phases {
+		p := &s.Trace.Phases[i]
+		n += wire.StrLen(p.Name) + 5*8 + 4 + 34*len(p.Streams)
+	}
+	n++
+	if sc := s.Samples; sc != nil {
+		n += 4 + 3*8 + 4 + 24*len(sc.ByAlloc)
+	}
+	return n + wire.SealLen
 }
 
 // DecodeSnapshot reads one snapshot from r, validating magic, version
@@ -204,7 +227,7 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 
 // DecodeSnapshotBytes decodes an encoded snapshot.
 func DecodeSnapshotBytes(raw []byte) (*Snapshot, error) {
-	if len(raw) < len(snapshotMagic)+4+8 {
+	if len(raw) < len(snapshotMagic)+4+wire.SealLen {
 		return nil, fmt.Errorf("trace: snapshot truncated (%d bytes)", len(raw))
 	}
 	if string(raw[:len(snapshotMagic)]) != snapshotMagic {
@@ -284,7 +307,7 @@ func DecodeSnapshotBytes(raw []byte) (*Snapshot, error) {
 			st.MLP = d.F64()
 		}
 	}
-	if d.U8() != 0 {
+	if d.Bool() {
 		sc := &SampleCounts{}
 		sc.SamplerVersion = d.U32()
 		sc.Period = d.I64()

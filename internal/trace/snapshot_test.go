@@ -10,6 +10,7 @@ import (
 
 	"hmpt/internal/shim"
 	"hmpt/internal/units"
+	"hmpt/internal/wire"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -133,7 +134,7 @@ func TestSnapshotRoundTripNoSamples(t *testing.T) {
 // must decode to exactly the sample snapshot. Any codec change breaks
 // this test and must bump SnapshotVersion with a new golden file.
 func TestSnapshotGolden(t *testing.T) {
-	path := filepath.Join("testdata", "snapshot_v3.snap")
+	path := filepath.Join("testdata", "snapshot_v4.snap")
 	s := sampleSnapshot()
 	enc, err := s.EncodeBytes()
 	if err != nil {
@@ -310,5 +311,68 @@ func TestSnapshotKeyID(t *testing.T) {
 		if v.ID() == k.ID() {
 			t.Errorf("distinct keys collide: %+v vs %+v", k, v)
 		}
+	}
+}
+
+// TestSnapshotEncodedLenIsExact: encodedLen predicts the encoding's
+// length exactly, so an encode sizes its buffer once.
+func TestSnapshotEncodedLenIsExact(t *testing.T) {
+	noSamples := sampleSnapshot()
+	noSamples.Samples = nil
+	for name, s := range map[string]*Snapshot{
+		"sample":     sampleSnapshot(),
+		"no samples": noSamples,
+		"empty":      {Registry: &shim.Registry{}, Trace: &Trace{}},
+	} {
+		raw, err := s.EncodeBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(raw) != s.encodedLen() {
+			t.Errorf("%s: encoded %d bytes, encodedLen predicts %d", name, len(raw), s.encodedLen())
+		}
+	}
+}
+
+// FuzzDecodeSnapshotBytes: the decoder never panics on arbitrary bytes,
+// and any input it accepts re-encodes to exactly the same bytes. Each
+// input is also tried re-sealed, so mutations reach the body decoder
+// instead of stopping at the checksum.
+func FuzzDecodeSnapshotBytes(f *testing.F) {
+	if golden, err := os.ReadFile(filepath.Join("testdata", "snapshot_v4.snap")); err == nil {
+		f.Add(golden)
+	}
+	noSamples := sampleSnapshot()
+	noSamples.Samples = nil
+	empty := &Snapshot{Registry: &shim.Registry{}, Trace: &Trace{}}
+	for _, s := range []*Snapshot{sampleSnapshot(), noSamples, empty} {
+		raw, err := s.EncodeBytes()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		requireSnapshotRoundTrip(t, raw)
+		if len(raw) >= wire.SealLen {
+			var e wire.Encoder
+			e.Raw(raw[:len(raw)-wire.SealLen])
+			requireSnapshotRoundTrip(t, e.Seal())
+		}
+	})
+}
+
+func requireSnapshotRoundTrip(t *testing.T, raw []byte) {
+	t.Helper()
+	s, err := DecodeSnapshotBytes(raw)
+	if err != nil {
+		return
+	}
+	re, err := s.EncodeBytes()
+	if err != nil {
+		t.Fatalf("re-encoding an accepted snapshot: %v", err)
+	}
+	if !bytes.Equal(re, raw) {
+		t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(raw), len(re))
 	}
 }

@@ -1,18 +1,24 @@
 // Package wire implements the little-endian binary encoding discipline
 // shared by the repository's versioned artefact codecs (trace snapshots,
-// analysis-cache entries): deterministic output, length-prefixed strings,
-// count-field sanity checks before allocation, and an FNV-64a seal over
-// the whole payload. The same value always encodes to the same bytes, so
-// encoded artefacts can be content-addressed, diffed and golden-tested.
+// analysis-cache entries, shard journal records): deterministic output,
+// length-prefixed strings, count-field sanity checks before allocation,
+// and a CRC-32C (Castagnoli) seal over the whole payload. The same value
+// always encodes to the same bytes, so encoded artefacts can be
+// content-addressed, diffed and golden-tested.
+//
+// The seal detects corruption — torn writes, flipped bits — and nothing
+// more; content addresses are SHA-256 over the key, never the seal. The
+// Encoder appends into one byte slice, so a codec that computes its
+// exact length first (Grow) encodes with a single allocation.
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash"
-	"hash/fnv"
+	"hash/crc32"
 	"math"
+	"slices"
 )
 
 // HashWriter applies the wire encoding discipline (little-endian
@@ -56,28 +62,38 @@ func (w *HashWriter) Str(s string) {
 	w.h.Write([]byte(s))
 }
 
-// Encoder accumulates the little-endian wire form.
+// Encoder appends the little-endian wire form to a byte slice. The
+// zero value is ready to use; Grow pre-sizes the buffer so a codec that
+// knows its encoded length up front encodes with one allocation.
 type Encoder struct {
-	buf     bytes.Buffer
-	scratch [8]byte
+	buf []byte
 }
 
+// Grow ensures room for at least n more bytes without reallocating. It
+// is a capacity hint only: the encoded bytes are the same with or
+// without it.
+func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
+
 // Raw appends b verbatim (magic strings).
-func (e *Encoder) Raw(b []byte) { e.buf.Write(b) }
+func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
 
 // U8 appends one byte.
-func (e *Encoder) U8(v uint8) { e.buf.WriteByte(v) }
+func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
 
-// U32 appends a little-endian uint32.
+// U32 appends a little-endian uint32. U32 and U64 spell the bytes out
+// in one append to e.buf rather than assigning the result of
+// binary.LittleEndian.Append*: appending to the field in place lets the
+// compiler update only the length when capacity suffices, instead of
+// storing the whole slice header — and paying a GC write barrier — on
+// every field.
 func (e *Encoder) U32(v uint32) {
-	binary.LittleEndian.PutUint32(e.scratch[:4], v)
-	e.buf.Write(e.scratch[:4])
+	e.buf = append(e.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 
 // U64 appends a little-endian uint64.
 func (e *Encoder) U64(v uint64) {
-	binary.LittleEndian.PutUint64(e.scratch[:8], v)
-	e.buf.Write(e.scratch[:8])
+	e.buf = append(e.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
+		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
 
 // I64 appends an int64 as its two's-complement uint64 image.
@@ -99,36 +115,47 @@ func (e *Encoder) Bool(v bool) {
 // Str appends a u32 length prefix followed by the raw string bytes.
 func (e *Encoder) Str(s string) {
 	e.U32(uint32(len(s)))
-	e.buf.WriteString(s)
+	e.buf = append(e.buf, s...)
 }
 
-// Seal appends the FNV-64a checksum of everything encoded so far and
+// StrLen is the encoded size of Str(s), for codecs that compute their
+// exact length before encoding.
+func StrLen(s string) int { return 4 + len(s) }
+
+// SealLen is the size of the trailing seal Seal appends.
+const SealLen = 4
+
+// castagnoli is the CRC-32C table; hash/crc32 recognises it and uses
+// the SSE4.2 / ARMv8 CRC instructions where the CPU has them.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Seal appends the CRC-32C checksum of everything encoded so far and
 // returns the finished buffer. CheckSeal verifies and strips it.
 func (e *Encoder) Seal() []byte {
-	h := fnv.New64a()
-	h.Write(e.buf.Bytes())
-	e.U64(h.Sum64())
-	return e.buf.Bytes()
+	e.U32(crc32.Checksum(e.buf, castagnoli))
+	return e.buf
 }
 
-// CheckSeal verifies the trailing FNV-64a checksum Seal appended and
+// CheckSeal verifies the trailing CRC-32C checksum Seal appended and
 // returns the payload without it.
 func CheckSeal(raw []byte) ([]byte, error) {
-	if len(raw) < 8 {
+	if len(raw) < SealLen {
 		return nil, fmt.Errorf("wire: sealed payload truncated (%d bytes)", len(raw))
 	}
-	payload, tail := raw[:len(raw)-8], raw[len(raw)-8:]
-	h := fnv.New64a()
-	h.Write(payload)
-	if got, want := binary.LittleEndian.Uint64(tail), h.Sum64(); got != want {
+	payload, tail := raw[:len(raw)-SealLen], raw[len(raw)-SealLen:]
+	if got, want := binary.LittleEndian.Uint32(tail), crc32.Checksum(payload, castagnoli); got != want {
 		return nil, fmt.Errorf("wire: checksum mismatch (%#x != %#x)", got, want)
 	}
 	return payload, nil
 }
 
-// Decoder consumes the wire form, latching the first error.
+// Decoder consumes the wire form, latching the first error. It advances
+// an offset into the buffer it was given rather than re-slicing it, so
+// a read stores no pointer (the comment on the Encoder's U32 says why that
+// matters).
 type Decoder struct {
 	buf []byte
+	off int
 	err error
 }
 
@@ -139,19 +166,24 @@ func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 func (d *Decoder) Err() error { return d.err }
 
 // Len returns the number of unconsumed bytes.
-func (d *Decoder) Len() int { return len(d.buf) }
+func (d *Decoder) Len() int { return len(d.buf) - d.off }
 
+// take consumes the next n bytes, or latches a truncation error and
+// returns nil.
 func (d *Decoder) take(n int) []byte {
-	if d.err != nil {
+	if d.err != nil || n > d.Len() {
+		d.truncated(n)
 		return nil
 	}
-	if len(d.buf) < n {
-		d.err = fmt.Errorf("wire: payload truncated (want %d bytes, have %d)", n, len(d.buf))
-		return nil
+	b := d.buf[d.off : d.off+n]
+	d.off += n
+	return b
+}
+
+func (d *Decoder) truncated(n int) {
+	if d.err == nil {
+		d.err = fmt.Errorf("wire: payload truncated (want %d bytes, have %d)", n, d.Len())
 	}
-	out := d.buf[:n]
-	d.buf = d.buf[n:]
-	return out
 }
 
 // Fits rejects count fields whose minimal encoding (unit bytes per
@@ -162,8 +194,8 @@ func (d *Decoder) Fits(count, unit uint64) error {
 	if d.err != nil {
 		return d.err
 	}
-	if unit != 0 && count > uint64(len(d.buf))/unit {
-		d.err = fmt.Errorf("wire: count %d exceeds remaining %d bytes", count, len(d.buf))
+	if unit != 0 && count > uint64(d.Len())/unit {
+		d.err = fmt.Errorf("wire: count %d exceeds remaining %d bytes", count, d.Len())
 	}
 	return d.err
 }
@@ -195,8 +227,22 @@ func (d *Decoder) U64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// Bool consumes one byte as a bool (any nonzero value is true).
-func (d *Decoder) Bool() bool { return d.U8() != 0 }
+// Bool consumes one byte as a bool. Only 0 and 1 are valid: any other
+// byte latches an error, so every payload the decoder accepts re-encodes
+// to the same bytes.
+func (d *Decoder) Bool() bool {
+	switch b := d.U8(); b {
+	case 0:
+		return false
+	case 1:
+		return true
+	default:
+		if d.err == nil {
+			d.err = fmt.Errorf("wire: invalid bool byte %#x", b)
+		}
+		return false
+	}
+}
 
 // I64 consumes an int64.
 func (d *Decoder) I64() int64 { return int64(d.U64()) }

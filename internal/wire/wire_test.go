@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -123,5 +124,72 @@ func TestFitsRejectsWrappingCount(t *testing.T) {
 		if (err == nil) != c.ok {
 			t.Errorf("Fits(%d, %d) err=%v, want ok=%v", c.count, c.unit, err, c.ok)
 		}
+	}
+}
+
+// TestSealIsCRC32C pins the seal to the Castagnoli polynomial with the
+// standard check value: CRC-32C("123456789") = 0xE3069283.
+func TestSealIsCRC32C(t *testing.T) {
+	var e Encoder
+	e.Raw([]byte("123456789"))
+	raw := e.Seal()
+	if got, want := raw[len(raw)-SealLen:], []byte{0x83, 0x92, 0x06, 0xe3}; !bytes.Equal(got, want) {
+		t.Fatalf("seal of %q = % x, want % x", "123456789", got, want)
+	}
+}
+
+// TestCheckSealRejectsEverySingleBitFlip: CRC-32C detects every
+// single-bit error, so no one-bit corruption of a sealed 1 KB payload —
+// payload or seal — may pass.
+func TestCheckSealRejectsEverySingleBitFlip(t *testing.T) {
+	var e Encoder
+	for i := 0; i < 1024; i++ {
+		e.U8(uint8(i * 7))
+	}
+	good := e.Seal()
+	b := append([]byte(nil), good...)
+	for i := range b {
+		for bit := 0; bit < 8; bit++ {
+			b[i] ^= 1 << bit
+			if _, err := CheckSeal(b); err == nil {
+				t.Fatalf("flip of bit %d in byte %d passed the seal", bit, i)
+			}
+			b[i] ^= 1 << bit
+		}
+	}
+}
+
+// TestGrowIsOnlyAHint: the same encoding with and without a Grow — too
+// small, exact, or generous — produces identical bytes.
+func TestGrowIsOnlyAHint(t *testing.T) {
+	encode := func(grow int) []byte {
+		var e Encoder
+		if grow >= 0 {
+			e.Grow(grow)
+		}
+		e.Raw([]byte("HMPTTEST"))
+		e.U32(7)
+		e.Str("grow")
+		e.F64(math.Pi)
+		e.Bool(true)
+		return e.Seal()
+	}
+	want := encode(-1)
+	for _, grow := range []int{0, 3, len(want), 4 * len(want)} {
+		if got := encode(grow); !bytes.Equal(got, want) {
+			t.Errorf("Grow(%d) changed the encoding", grow)
+		}
+	}
+}
+
+// TestBoolRejectsNonCanonicalBytes: only 0 and 1 decode as bools, so an
+// accepted payload always re-encodes to the same bytes.
+func TestBoolRejectsNonCanonicalBytes(t *testing.T) {
+	d := NewDecoder([]byte{0, 1, 2})
+	if d.Bool() || !d.Bool() || d.Err() != nil {
+		t.Fatal("0 and 1 did not decode as false and true")
+	}
+	if d.Bool(); d.Err() == nil {
+		t.Fatal("byte 2 decoded as a bool")
 	}
 }
