@@ -1178,10 +1178,10 @@ func BenchmarkSeedSweep(b *testing.B) {
 
 // BenchmarkFamilyBase measures the derivation-base lookup behind a cache
 // miss on a new seed — SnapshotCache.FamilyBase over an on-disk family
-// index of BT seed siblings — at two family sizes. The lookup stops at
-// the first member whose snapshot loads, so it reads one member record
-// at either size and only the directory listing grows with the family;
-// the run fails if a lookup reads more than one member record.
+// directory of BT seed siblings — at two family sizes. The lookup stops
+// at the first member whose snapshot loads, so it reads one member
+// snapshot at either size and only the directory listing grows with the
+// family; the run fails if a lookup reads more than one snapshot.
 func BenchmarkFamilyBase(b *testing.B) {
 	spec, err := experiments.SpecFor("npb.bt")
 	if err != nil {
@@ -1198,7 +1198,7 @@ func BenchmarkFamilyBase(b *testing.B) {
 	}
 	for _, size := range []int{8, 128} {
 		b.Run(fmt.Sprintf("members=%d", size), func(b *testing.B) {
-			fs := &faultfs.ReadCounter{FS: faultfs.OS, Ext: ".member"}
+			fs := &faultfs.ReadCounter{FS: faultfs.OS, Ext: ".snap"}
 			cache, err := trace.NewSnapshotCacheFS(b.TempDir(), fs)
 			if err != nil {
 				b.Fatal(err)
@@ -1223,7 +1223,7 @@ func BenchmarkFamilyBase(b *testing.B) {
 			b.StopTimer()
 			reads := float64(fs.Reads()-before) / float64(b.N)
 			if reads > 1 {
-				b.Errorf("lookup read %.1f member records, want at most 1", reads)
+				b.Errorf("lookup read %.1f member snapshots, want at most 1", reads)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "µs/op")
 			b.ReportMetric(reads, "member-reads/op")

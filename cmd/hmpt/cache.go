@@ -72,7 +72,6 @@ func cacheStatsCmd(args []string) error {
 	}
 	row("snapshots", usage.Snapshots)
 	row("analyses", usage.Analyses)
-	row("family-index", usage.Members)
 	row("staging", usage.Staging)
 	if err := t.Write(os.Stdout); err != nil {
 		return err
@@ -114,8 +113,8 @@ func cacheGCCmd(args []string) error {
 	if *dryRun {
 		mode = "would remove"
 	}
-	fmt.Printf("cache gc: %s %d dead entries (%s, %d orphan member records) and %d staging files; evicted %d entries (%s); live %s\n",
-		mode, rep.DeadEntries, units.Bytes(rep.DeadBytes), rep.OrphanMembers, rep.StagingRemoved,
+	fmt.Printf("cache gc: %s %d dead entries (%s) and %d staging files; evicted %d entries (%s); live %s\n",
+		mode, rep.DeadEntries, units.Bytes(rep.DeadBytes), rep.StagingRemoved,
 		rep.EvictedEntries, units.Bytes(rep.EvictedBytes), units.Bytes(rep.LiveBytes))
 	return nil
 }

@@ -128,7 +128,7 @@ type (
 )
 
 // Cache lifecycle types: on-disk usage accounting and garbage
-// collection across the snapshot, analysis and family-index rungs.
+// collection across the snapshot and analysis rungs.
 type (
 	// CacheUsage is a full usage scan of the cache tree, by rung.
 	CacheUsage = cachegc.Usage
@@ -165,12 +165,13 @@ func AnalysisCacheStats(c *AnalysisCache) CacheRungStats {
 // ScanCacheUsage scans the cache tree without collecting anything.
 func ScanCacheUsage(opts CacheGCOptions) (*CacheUsage, error) { return cachegc.Scan(opts) }
 
-// CollectCaches runs one garbage-collection pass: dead entries (torn or
-// version-orphaned — unreadable by any current build) and aged staging
-// files go unconditionally, then live entries are evicted
-// least-recently-accessed-first down to Options.MaxBytes. Safe to run
-// concurrently with serving daemons and campaigns: only whole published
-// entries are removed, and readers treat a vanished entry as a miss.
+// CollectCaches runs one garbage-collection pass: dead entries (torn,
+// version-orphaned or of a retired cache layout — unreadable by any
+// current build) and aged staging files go unconditionally, then live
+// entries are evicted least-recently-accessed-first down to
+// Options.MaxBytes. Safe to run concurrently with serving daemons and
+// campaigns: only whole published entries are removed, and readers
+// treat a vanished entry as a miss.
 func CollectCaches(opts CacheGCOptions) (*CacheGCReport, error) { return cachegc.Run(opts) }
 
 // ErrCacheDegraded is returned by cache stores fast-failed because the

@@ -1,22 +1,23 @@
 // Package cachegc implements lifecycle management for the on-disk cache
-// ladder: usage accounting and garbage collection across the snapshot,
-// analysis and family-index rungs.
+// ladder: usage accounting and garbage collection across the snapshot
+// and analysis rungs.
 //
 // Two collection regimes compose:
 //
 //   - Dead-entry collection. An entry is dead when no current build can
 //     ever read it: its codec seal fails (torn write that slipped past a
 //     crash), its magic or version is wrong (written by a codec this
-//     build no longer speaks), or — for family-index member records —
-//     the snapshot it points at no longer exists. Dead entries are
-//     removed unconditionally; they are pure waste.
+//     build no longer speaks), it is filed under a name no lookup forms,
+//     or it belongs to a retired layout — flat <cache>/*.snap files and
+//     the <cache>/families/ member records of the older store. Dead
+//     entries are removed unconditionally; they are pure waste.
 //   - LRU-by-atime eviction. Live entries are evicted oldest-access-first
 //     until the cache fits a size bound. Entries from old kernel epochs
 //     are never addressed by a current build (the epoch is part of the
 //     key hash), so they simply stop being accessed and age to the front
-//     of the eviction queue — no epoch bookkeeping needed. Evicting a
-//     snapshot also retires its family-index member records, so the
-//     index never advertises a base the store no longer holds.
+//     of the eviction queue — no epoch bookkeeping needed. A snapshot's
+//     family membership is its path, so evicting the file retires the
+//     member too; family directories the pass empties are removed.
 //
 // Orphaned fsatomic staging files (".<name>.tmp*" left by a process
 // killed between stage and rename) are swept once they are older than a
@@ -65,9 +66,9 @@ func (u *RungUsage) add(bytes int64, dead bool) {
 
 // Usage is a full scan of the cache tree.
 type Usage struct {
+	// Snapshots includes the retired-layout files, all dead.
 	Snapshots RungUsage `json:"snapshots"`
 	Analyses  RungUsage `json:"analyses"`
-	Members   RungUsage `json:"members"`
 	// Staging counts fsatomic temp files; Dead counts those older than
 	// the orphan threshold.
 	Staging RungUsage `json:"staging"`
@@ -77,13 +78,13 @@ type Usage struct {
 
 // Options configures a scan or collection pass.
 type Options struct {
-	// CacheDir is the snapshot cache root (holding *.snap and
-	// families/); empty skips the snapshot and member rungs.
+	// CacheDir is the snapshot cache root (holding snapshots/<family>/);
+	// empty skips the snapshot rung.
 	CacheDir string
 	// AnalysisDir is the analysis cache directory; empty skips that
 	// rung. A directory nested under CacheDir (the CLI default
 	// <cache>/analyses) is handled naturally: the snapshot scan only
-	// reads its own level.
+	// reads its own directories.
 	AnalysisDir string
 	// MaxBytes bounds the live snapshot+analysis bytes; 0 means no
 	// size-based eviction (dead-entry and staging collection still run).
@@ -107,13 +108,11 @@ type Report struct {
 	// Before is the usage at the start of the pass.
 	Before Usage `json:"before"`
 	// DeadEntries/DeadBytes count removed unreadable entries across all
-	// rungs; OrphanMembers the member records whose snapshot is gone
-	// (included in DeadEntries).
-	DeadEntries   int   `json:"dead_entries"`
-	DeadBytes     int64 `json:"dead_bytes"`
-	OrphanMembers int   `json:"orphan_members"`
+	// rungs.
+	DeadEntries int   `json:"dead_entries"`
+	DeadBytes   int64 `json:"dead_bytes"`
 	// EvictedEntries/EvictedBytes count live entries evicted by the size
-	// bound, member records included.
+	// bound.
 	EvictedEntries int   `json:"evicted_entries"`
 	EvictedBytes   int64 `json:"evicted_bytes"`
 	// StagingRemoved counts swept orphan staging files.
@@ -128,10 +127,18 @@ type entry struct {
 	bytes int64
 	atime time.Time
 	dead  bool
-	// id is the content-address stem ("<id>.snap" → id); member entries
-	// use the id of the snapshot they point at.
-	id   string
-	kind string // "snap", "anl", "member"
+}
+
+// subdirs lists the directories directly under root.
+func subdirs(root string) []string {
+	ents, _ := os.ReadDir(root)
+	var out []string
+	for _, ent := range ents {
+		if ent.IsDir() {
+			out = append(out, filepath.Join(root, ent.Name()))
+		}
+	}
+	return out
 }
 
 // scan walks the configured cache tree.
@@ -139,132 +146,80 @@ func scan(opts Options) (entries []entry, staging []entry, usage Usage, err erro
 	age := opts.stagingAge()
 	now := time.Now()
 
-	addStaging := func(dir string, ent os.DirEntry) {
-		fi, err := ent.Info()
-		if err != nil {
-			return
+	// visit classifies the files of dir into rung. Staging residue is
+	// aged; a file with extension ext is read and is dead unless live
+	// accepts it, or dead outright when live is nil (a retired layout).
+	// An empty ext takes every file, staging residue included, as dead.
+	// Subdirectories and other files are left alone.
+	visit := func(dir, ext string, rung *RungUsage, live func(name string, raw []byte) bool) error {
+		ents, err := os.ReadDir(dir)
+		if err != nil && !os.IsNotExist(err) {
+			return err
 		}
-		e := entry{path: filepath.Join(dir, ent.Name()), bytes: fi.Size()}
-		e.dead = now.Sub(fi.ModTime()) >= age
-		staging = append(staging, e)
-		usage.Staging.add(e.bytes, e.dead)
-	}
-	isStaging := func(name string) bool {
-		return strings.HasPrefix(name, ".") && strings.Contains(name, ".tmp")
+		for _, ent := range ents {
+			name := ent.Name()
+			if ent.IsDir() {
+				continue
+			}
+			fi, err := ent.Info()
+			if err != nil {
+				continue // vanished mid-scan: someone else's cleanup
+			}
+			e := entry{path: filepath.Join(dir, name), bytes: fi.Size(), atime: atime(fi), dead: true}
+			switch {
+			case ext == "":
+			case strings.HasPrefix(name, ".") && strings.Contains(name, ".tmp"):
+				e.dead = now.Sub(fi.ModTime()) >= age
+				staging = append(staging, e)
+				usage.Staging.add(e.bytes, e.dead)
+				continue
+			case filepath.Ext(name) != ext:
+				continue
+			case live != nil:
+				raw, err := os.ReadFile(e.path)
+				if err != nil {
+					continue
+				}
+				e.dead = !live(name, raw)
+			}
+			entries = append(entries, e)
+			rung.add(e.bytes, e.dead)
+		}
+		return nil
 	}
 
 	if opts.CacheDir != "" {
-		ents, err := os.ReadDir(opts.CacheDir)
-		if err != nil && !os.IsNotExist(err) {
+		if err := visit(opts.CacheDir, ".snap", &usage.Snapshots, nil); err != nil {
 			return nil, nil, usage, err
 		}
-		snapIDs := map[string]bool{}
-		for _, ent := range ents {
-			name := ent.Name()
-			switch {
-			case ent.IsDir():
-				continue
-			case isStaging(name):
-				addStaging(opts.CacheDir, ent)
-			case filepath.Ext(name) == ".snap":
-				fi, err := ent.Info()
-				if err != nil {
-					continue
-				}
-				e := entry{
-					path: filepath.Join(opts.CacheDir, name), bytes: fi.Size(),
-					atime: atime(fi), id: strings.TrimSuffix(name, ".snap"), kind: "snap",
-				}
-				raw, err := os.ReadFile(e.path)
-				if err != nil {
-					continue // vanished mid-scan: someone else's cleanup
-				}
-				if _, derr := trace.DecodeSnapshotBytes(raw); derr != nil {
-					e.dead = true
-				} else {
-					snapIDs[e.id] = true
-				}
-				entries = append(entries, e)
-				usage.Snapshots.add(e.bytes, e.dead)
-			}
+		for _, dir := range subdirs(filepath.Join(opts.CacheDir, "families")) {
+			visit(dir, "", &usage.Snapshots, nil)
 		}
-
-		famRoot := filepath.Join(opts.CacheDir, "families")
-		famDirs, _ := os.ReadDir(famRoot)
-		for _, fd := range famDirs {
-			if !fd.IsDir() {
-				continue
-			}
-			dir := filepath.Join(famRoot, fd.Name())
-			members, _ := os.ReadDir(dir)
-			for _, ent := range members {
-				name := ent.Name()
-				switch {
-				case ent.IsDir():
-					continue
-				case isStaging(name):
-					addStaging(dir, ent)
-				case filepath.Ext(name) == ".member":
-					fi, err := ent.Info()
-					if err != nil {
-						continue
-					}
-					e := entry{
-						path: filepath.Join(dir, name), bytes: fi.Size(),
-						atime: atime(fi), id: strings.TrimSuffix(name, ".member"), kind: "member",
-					}
-					raw, err := os.ReadFile(e.path)
-					if err != nil {
-						continue
-					}
-					if trace.ValidFamilyMember(raw) != nil || !snapIDs[e.id] {
-						e.dead = true // torn record, or orphan of an evicted/lost snapshot
-					}
-					entries = append(entries, e)
-					usage.Members.add(e.bytes, e.dead)
-				}
-			}
+		// Live when it decodes and its name is the one Load would form
+		// for its metadata: a renamed or moved snapshot never loads.
+		snapLive := func(name string, raw []byte) bool {
+			s, err := trace.DecodeSnapshotBytes(raw)
+			return err == nil && trace.MemberName(s.Meta) == name
+		}
+		for _, dir := range subdirs(filepath.Join(opts.CacheDir, "snapshots")) {
+			visit(dir, ".snap", &usage.Snapshots, snapLive)
 		}
 	}
 
 	if opts.AnalysisDir != "" {
-		ents, err := os.ReadDir(opts.AnalysisDir)
-		if err != nil && !os.IsNotExist(err) {
-			return nil, nil, usage, err
+		// Dead when undecodable or filed under a name no lookup will ever
+		// form: Load validates the embedded key ID against the file name,
+		// so a mismatch can never hit.
+		anLive := func(name string, raw []byte) bool {
+			an, id, err := core.DecodeAnalysis(raw)
+			return err == nil && an != nil && id+".anl" == name
 		}
-		for _, ent := range ents {
-			name := ent.Name()
-			switch {
-			case ent.IsDir():
-				continue
-			case isStaging(name):
-				addStaging(opts.AnalysisDir, ent)
-			case filepath.Ext(name) == ".anl":
-				fi, err := ent.Info()
-				if err != nil {
-					continue
-				}
-				e := entry{
-					path: filepath.Join(opts.AnalysisDir, name), bytes: fi.Size(),
-					atime: atime(fi), id: strings.TrimSuffix(name, ".anl"), kind: "anl",
-				}
-				raw, err := os.ReadFile(e.path)
-				if err != nil {
-					continue
-				}
-				// Dead when undecodable or filed under a name no lookup
-				// will ever form: Load validates the embedded key ID
-				// against the file name, so a mismatch can never hit.
-				if an, id, derr := core.DecodeAnalysis(raw); derr != nil || an == nil || id != e.id {
-					e.dead = true
-				}
-				entries = append(entries, e)
-				usage.Analyses.add(e.bytes, e.dead)
-			}
+		if err := visit(opts.AnalysisDir, ".anl", &usage.Analyses, anLive); err != nil {
+			return nil, nil, usage, err
 		}
 	}
 
-	usage.TotalBytes = usage.Snapshots.Bytes + usage.Analyses.Bytes + usage.Members.Bytes + usage.Staging.Bytes
+	usage.TotalBytes = usage.Snapshots.Bytes + usage.Analyses.Bytes + usage.Staging.Bytes
 	return entries, staging, usage, nil
 }
 
@@ -279,7 +234,9 @@ func Scan(opts Options) (*Usage, error) {
 
 // Run executes one collection pass: dead entries and aged staging files
 // go unconditionally, then live entries are evicted oldest-access-first
-// until the snapshot+analysis footprint fits Options.MaxBytes.
+// until the snapshot+analysis footprint fits Options.MaxBytes. Family
+// directories left empty are removed last, under the current and the
+// retired root; a store racing that removal recreates its directory.
 func Run(opts Options) (*Report, error) {
 	entries, staging, usage, err := scan(opts)
 	if err != nil {
@@ -295,23 +252,13 @@ func Run(opts Options) (*Report, error) {
 	}
 
 	live := entries[:0:0]
-	memberOf := map[string][]entry{} // snapshot id → live member records
 	for _, e := range entries {
-		if e.dead {
-			if remove(e) {
-				rep.DeadEntries++
-				rep.DeadBytes += e.bytes
-				if e.kind == "member" {
-					rep.OrphanMembers++
-				}
-			}
-			continue
+		if !e.dead {
+			live = append(live, e)
+		} else if remove(e) {
+			rep.DeadEntries++
+			rep.DeadBytes += e.bytes
 		}
-		if e.kind == "member" {
-			memberOf[e.id] = append(memberOf[e.id], e)
-			continue // members ride with their snapshot, not the budget
-		}
-		live = append(live, e)
 	}
 
 	for _, e := range staging {
@@ -336,28 +283,17 @@ func Run(opts Options) (*Report, error) {
 			liveBytes -= e.bytes
 			rep.EvictedEntries++
 			rep.EvictedBytes += e.bytes
-			if e.kind == "snap" {
-				for _, m := range memberOf[e.id] {
-					if remove(m) {
-						rep.EvictedEntries++
-						rep.EvictedBytes += m.bytes
-					}
-				}
-			}
 		}
 	}
 	rep.LiveBytes = liveBytes
 
-	// Retire family directories the collection emptied.
 	if opts.CacheDir != "" && !opts.DryRun {
-		famRoot := filepath.Join(opts.CacheDir, "families")
-		if famDirs, err := os.ReadDir(famRoot); err == nil {
-			for _, fd := range famDirs {
-				if fd.IsDir() {
-					os.Remove(filepath.Join(famRoot, fd.Name())) // fails unless empty
-				}
+		for _, root := range []string{"snapshots", "families"} {
+			for _, dir := range subdirs(filepath.Join(opts.CacheDir, root)) {
+				os.Remove(dir) // fails unless empty
 			}
 		}
+		os.Remove(filepath.Join(opts.CacheDir, "families"))
 	}
 	return rep, nil
 }

@@ -3,6 +3,7 @@ package cachegc
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,11 +11,11 @@ import (
 	"hmpt/internal/core"
 	"hmpt/internal/experiments"
 	"hmpt/internal/trace"
+	"hmpt/internal/wire"
 )
 
 // populate runs a small real campaign through disk caches, filling the
-// snapshot, family-index and analysis rungs exactly the way production
-// traffic does.
+// snapshot and analysis rungs exactly the way production traffic does.
 func populate(t *testing.T) (cacheDir, anDir string) {
 	t.Helper()
 	cacheDir = t.TempDir()
@@ -23,7 +24,7 @@ func populate(t *testing.T) (cacheDir, anDir string) {
 	return cacheDir, anDir
 }
 
-func runCampaign(t *testing.T, cacheDir, anDir string) *campaign.Result {
+func testMatrix(t *testing.T) campaign.Matrix {
 	t.Helper()
 	spec := experiments.CampaignSpec{
 		Workloads: []string{"npb.is", "npb.mg"},
@@ -33,6 +34,12 @@ func runCampaign(t *testing.T, cacheDir, anDir string) *campaign.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+func runCampaign(t *testing.T, cacheDir, anDir string) *campaign.Result {
+	t.Helper()
+	m := testMatrix(t)
 	cache, err := trace.NewSnapshotCache(cacheDir)
 	if err != nil {
 		t.Fatal(err)
@@ -74,19 +81,13 @@ func listExt(t *testing.T, dir, ext string) []string {
 	return out
 }
 
-func listMembers(t *testing.T, cacheDir string) []string {
+// listSnaps returns the snapshot rung's entry paths, across every
+// family directory.
+func listSnaps(t *testing.T, cacheDir string) []string {
 	t.Helper()
-	var out []string
-	famRoot := filepath.Join(cacheDir, "families")
-	fams, err := os.ReadDir(famRoot)
+	out, err := filepath.Glob(filepath.Join(cacheDir, "snapshots", "*", "*.snap"))
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, fd := range fams {
-		if !fd.IsDir() {
-			continue
-		}
-		out = append(out, listExt(t, filepath.Join(famRoot, fd.Name()), ".member")...)
 	}
 	return out
 }
@@ -100,9 +101,6 @@ func TestScanCountsPopulatedCache(t *testing.T) {
 	if usage.Snapshots.Entries != 2 || usage.Snapshots.Dead != 0 {
 		t.Fatalf("snapshots: %+v, want 2 live", usage.Snapshots)
 	}
-	if usage.Members.Entries != usage.Snapshots.Entries || usage.Members.Dead != 0 {
-		t.Fatalf("members: %+v, want one live record per snapshot", usage.Members)
-	}
 	if usage.Analyses.Entries != 2 || usage.Analyses.Dead != 0 {
 		t.Fatalf("analyses: %+v, want 2 live", usage.Analyses)
 	}
@@ -115,11 +113,11 @@ func TestScanCountsPopulatedCache(t *testing.T) {
 }
 
 // TestDeadEntryCollection corrupts a snapshot in place and requires the
-// GC to classify it dead, retire its now-orphaned member record, and
-// leave a cache the engine still serves correctly.
+// GC to classify it dead, retire it and its emptied family directory,
+// and leave a cache the engine still serves correctly.
 func TestDeadEntryCollection(t *testing.T) {
 	cacheDir, anDir := populate(t)
-	snaps := listExt(t, cacheDir, ".snap")
+	snaps := listSnaps(t, cacheDir)
 	if len(snaps) != 2 {
 		t.Fatalf("%d snapshots, want 2", len(snaps))
 	}
@@ -134,28 +132,25 @@ func TestDeadEntryCollection(t *testing.T) {
 	if usage.Snapshots.Dead != 1 {
 		t.Fatalf("snapshots: %+v, want 1 dead", usage.Snapshots)
 	}
-	if usage.Members.Dead != 1 {
-		t.Fatalf("members: %+v, want the corrupted snapshot's record orphaned", usage.Members)
-	}
 
 	rep, err := Run(gcOpts(cacheDir, anDir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.DeadEntries != 2 || rep.OrphanMembers != 1 {
-		t.Fatalf("report: %+v, want 2 dead entries of which 1 orphan member", rep)
+	if rep.DeadEntries != 1 {
+		t.Fatalf("report: %+v, want 1 dead entry", rep)
 	}
-	if _, err := os.Stat(snaps[0]); !os.IsNotExist(err) {
-		t.Fatal("dead snapshot survived collection")
+	if _, err := os.Stat(filepath.Dir(snaps[0])); !os.IsNotExist(err) {
+		t.Fatal("dead snapshot's family directory survived collection")
 	}
-	if got := len(listMembers(t, cacheDir)); got != 1 {
-		t.Fatalf("%d member records survive, want 1", got)
+	if got := len(listSnaps(t, cacheDir)); got != 1 {
+		t.Fatalf("%d snapshots survive, want 1", got)
 	}
 	after, err := Scan(gcOpts(cacheDir, anDir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Snapshots.Dead != 0 || after.Members.Dead != 0 || after.Analyses.Dead != 0 {
+	if after.Snapshots.Dead != 0 || after.Analyses.Dead != 0 {
 		t.Fatalf("dead entries survive collection: %+v", after)
 	}
 
@@ -172,14 +167,13 @@ func TestDeadEntryCollection(t *testing.T) {
 }
 
 // TestLRUEvictionFollowsAtime ages one snapshot and requires the size
-// bound to evict it (and its member record) while fresher entries
-// survive.
+// bound to evict it (and retire its emptied family directory) while
+// fresher entries survive.
 func TestLRUEvictionFollowsAtime(t *testing.T) {
 	cacheDir, anDir := populate(t)
-	snaps := listExt(t, cacheDir, ".snap")
-	members := listMembers(t, cacheDir)
-	if len(snaps) != 2 || len(members) != 2 {
-		t.Fatalf("%d snapshots, %d members; want 2 each", len(snaps), len(members))
+	snaps := listSnaps(t, cacheDir)
+	if len(snaps) != 2 {
+		t.Fatalf("%d snapshots, want 2", len(snaps))
 	}
 	old, fresh := snaps[0], snaps[1]
 
@@ -187,7 +181,7 @@ func TestLRUEvictionFollowsAtime(t *testing.T) {
 	// to classify it, and on a relatime mount that read would promote the
 	// aged snapshot's atime and erase the ordering this test sets up.
 	var budget int64 = -1
-	for _, p := range append(listExt(t, cacheDir, ".snap"), listExt(t, anDir, ".anl")...) {
+	for _, p := range append(listSnaps(t, cacheDir), listExt(t, anDir, ".anl")...) {
 		fi, err := os.Stat(p)
 		if err != nil {
 			t.Fatal(err)
@@ -217,15 +211,10 @@ func TestLRUEvictionFollowsAtime(t *testing.T) {
 	if _, err := os.Stat(fresh); err != nil {
 		t.Fatalf("the fresh snapshot did not survive: %v", err)
 	}
-	// The evicted snapshot's member record must go with it: the family
-	// index must never advertise a base the store no longer holds.
-	oldID := filepath.Base(old)
-	oldID = oldID[:len(oldID)-len(".snap")]
-	for _, m := range listMembers(t, cacheDir) {
-		base := filepath.Base(m)
-		if base[:len(base)-len(".member")] == oldID {
-			t.Fatalf("member record %s outlived its evicted snapshot", m)
-		}
+	// Its family directory goes with it: the family index is the
+	// directory listing, so it can never advertise the evicted base.
+	if _, err := os.Stat(filepath.Dir(old)); !os.IsNotExist(err) {
+		t.Fatal("the evicted snapshot's emptied family directory survived")
 	}
 }
 
@@ -233,17 +222,12 @@ func TestLRUEvictionFollowsAtime(t *testing.T) {
 // ages and requires only the aged files to be swept.
 func TestStagingSweepRespectsAge(t *testing.T) {
 	cacheDir, anDir := populate(t)
-	famRoot := filepath.Join(cacheDir, "families")
-	fams, err := os.ReadDir(famRoot)
-	if err != nil || len(fams) == 0 {
-		t.Fatalf("no family dirs: %v", err)
-	}
-	famDir := filepath.Join(famRoot, fams[0].Name())
+	famDir := filepath.Dir(listSnaps(t, cacheDir)[0])
 
 	oldFiles := []string{
 		filepath.Join(cacheDir, ".dead.snap.tmp123"),
 		filepath.Join(anDir, ".dead.anl.tmp456"),
-		filepath.Join(famDir, ".dead.member.tmp789"),
+		filepath.Join(famDir, ".dead.snap.tmp789"),
 	}
 	freshFile := filepath.Join(cacheDir, ".inflight.snap.tmp42")
 	past := time.Now().Add(-2 * time.Hour)
@@ -282,7 +266,7 @@ func TestStagingSweepRespectsAge(t *testing.T) {
 // collection while leaving every file in place.
 func TestDryRunRemovesNothing(t *testing.T) {
 	cacheDir, anDir := populate(t)
-	snaps := listExt(t, cacheDir, ".snap")
+	snaps := listSnaps(t, cacheDir)
 	if err := os.WriteFile(snaps[0], []byte("corrupt"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +284,87 @@ func TestDryRunRemovesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if usage.Snapshots.Entries != 2 || usage.Analyses.Entries != 2 || usage.Members.Entries != 2 {
+	if usage.Snapshots.Entries != 2 || usage.Analyses.Entries != 2 {
 		t.Fatalf("dry run removed files: %+v", usage)
+	}
+}
+
+// TestRetiredLayoutCollected builds a cache tree in the retired layout —
+// flat <id>.snap files plus a families/<family>/<id>.member record per
+// snapshot — and requires Scan to report all of it dead, Run to leave no
+// file behind, and a campaign over the tree afterwards to produce its
+// normal cells.
+func TestRetiredLayoutCollected(t *testing.T) {
+	refDir := t.TempDir()
+	ref := runCampaign(t, refDir, filepath.Join(refDir, "analyses"))
+	refCache, err := trace.NewSnapshotCache(refDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cacheDir := t.TempDir()
+	anDir := filepath.Join(cacheDir, "analyses")
+	m := testMatrix(t)
+	for _, w := range m.Workloads {
+		key := core.SnapshotKeyFor(w.Name, w.Options)
+		raw, err := os.ReadFile(refCache.Path(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cacheDir, key.ID()+".snap"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// The retired member record: magic, then the member's scale,
+		// iterations and seed, sealed.
+		var e wire.Encoder
+		e.Raw([]byte("HMPTFMBR"))
+		e.F64(key.Scale)
+		e.I64(int64(key.Iterations))
+		e.U64(key.Seed)
+		famDir := filepath.Join(cacheDir, "families", key.Family().ID())
+		if err := os.MkdirAll(famDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(famDir, key.ID()+".member"), e.Seal(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	usage, err := Scan(gcOpts(cacheDir, anDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 * len(m.Workloads); usage.Snapshots.Entries != want || usage.Snapshots.Dead != want {
+		t.Fatalf("snapshots: %+v, want %d entries, all dead", usage.Snapshots, want)
+	}
+	rep, err := Run(gcOpts(cacheDir, anDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.DeadEntries != usage.Snapshots.Dead {
+		t.Fatalf("report: %+v, want %d dead entries", rep, usage.Snapshots.Dead)
+	}
+	err = filepath.WalkDir(cacheDir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			t.Errorf("file %s survived collection", path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(cacheDir, "families")); !os.IsNotExist(err) {
+		t.Error("the retired families/ root survived collection")
+	}
+
+	res := runCampaign(t, cacheDir, anDir)
+	if res.Executions != ref.Executions || len(res.Cells) != len(ref.Cells) {
+		t.Fatalf("post-GC campaign: %d executions, %d cells; want %d, %d",
+			res.Executions, len(res.Cells), ref.Executions, len(ref.Cells))
+	}
+	for i := range res.Cells {
+		if !reflect.DeepEqual(res.Cells[i].Analysis, ref.Cells[i].Analysis) {
+			t.Errorf("cell %s/%s differs from the reference run", res.Cells[i].Workload, res.Cells[i].Platform)
+		}
 	}
 }

@@ -220,6 +220,9 @@ func TestCampaignRecoversCorruptCacheEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := core.SnapshotKeyFor(m.Workloads[0].Name, m.Workloads[0].Options)
+	if err := os.MkdirAll(filepath.Dir(cache.Path(key)), 0o755); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(cache.Path(key), []byte("not a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -736,35 +739,20 @@ func TestConcurrentEnginesShareCacheDir(t *testing.T) {
 		}
 	}
 
+	// Every file anywhere in either tree — family directories included —
+	// is a published entry.
 	for _, dir := range []string{snapDir, anDir} {
-		entries, err := os.ReadDir(dir)
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			if ext := filepath.Ext(path); ext != ".snap" && ext != ".anl" {
+				t.Errorf("stray file %q left in shared cache tree", path)
+			}
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		for _, e := range entries {
-			if e.IsDir() && e.Name() == "families" {
-				// The snapshot cache's derivation-family index: one
-				// .member record per stored snapshot, nothing else.
-				fams, err := os.ReadDir(filepath.Join(dir, e.Name()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, fam := range fams {
-					members, err := os.ReadDir(filepath.Join(dir, e.Name(), fam.Name()))
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, m := range members {
-						if filepath.Ext(m.Name()) != ".member" {
-							t.Errorf("stray file %q left in family index", m.Name())
-						}
-					}
-				}
-				continue
-			}
-			if filepath.Ext(e.Name()) != ".snap" && filepath.Ext(e.Name()) != ".anl" {
-				t.Errorf("stray file %q left in shared cache dir", e.Name())
-			}
 		}
 	}
 

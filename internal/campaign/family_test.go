@@ -3,7 +3,6 @@ package campaign
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"hmpt/internal/core"
@@ -12,11 +11,11 @@ import (
 )
 
 // TestFamilyMissReadsFlat: a campaign miss on a new seed finds its
-// derivation base on disk by reading one family-index record beyond the
-// invalid ones sorted ahead of it, whether the family holds 4 members
-// or 100 — and still derives it across seeds with zero kernels.
+// derivation base on disk by reading one snapshot beyond the invalid
+// ones sorted ahead of it, whether the family holds 4 members or 100 —
+// and still derives it across seeds with zero kernels.
 func TestFamilyMissReadsFlat(t *testing.T) {
-	const torn = 3 // invalid records sorted before every member
+	const torn = 3 // invalid snapshots sorted before every member
 	for _, size := range []int{4, 100} {
 		t.Run(fmt.Sprintf("members=%d", size), func(t *testing.T) {
 			dir := t.TempDir()
@@ -56,16 +55,18 @@ func TestFamilyMissReadsFlat(t *testing.T) {
 			if got := len(cache.FamilyMembers(miss)); got != size {
 				t.Fatalf("family lists %d members, want %d", got, size)
 			}
-			famDir := filepath.Join(cache.Dir(), "families", miss.Family().ID())
+			// Torn snapshots under member names that sort first: a
+			// smaller positive scale has smaller float bits.
 			for i := 0; i < torn; i++ {
-				name := fmt.Sprintf("00000000torn%d.member", i)
-				if err := os.WriteFile(filepath.Join(famDir, name), []byte("torn"), 0o644); err != nil {
+				k := miss
+				k.Scale /= float64(2 + i)
+				if err := os.WriteFile(cache.Path(k), []byte("torn"), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
 
 			// A fresh engine — another process — misses the new seed.
-			fs := &faultfs.ReadCounter{FS: faultfs.OS, Ext: ".member"}
+			fs := &faultfs.ReadCounter{FS: faultfs.OS, Ext: ".snap"}
 			fresh, err := trace.NewSnapshotCacheFS(dir, fs)
 			if err != nil {
 				t.Fatal(err)
@@ -79,8 +80,9 @@ func TestFamilyMissReadsFlat(t *testing.T) {
 			if err := res.Err(); err != nil {
 				t.Fatal(err)
 			}
-			if got := fs.Reads(); got > torn+1 {
-				t.Errorf("miss read %d member records, want at most %d (%d invalid + 1)", got, torn+1, torn)
+			// The exact-key probe, the invalid snapshots, then the base.
+			if got := fs.Reads(); got > 1+torn+1 {
+				t.Errorf("miss read %d snapshots, want at most %d (1 probe + %d invalid + 1 base)", got, 1+torn+1, torn)
 			}
 			if got := core.KernelExecutions() - kernels; got != 0 {
 				t.Errorf("miss executed %d kernels, want 0", got)

@@ -1,13 +1,14 @@
 // Package faultfs abstracts the filesystem surface the cache tree uses
 // and provides a deterministic, seed-driven fault injector over it.
 //
-// Every on-disk cache rung (the snapshot cache, the analysis cache, the
-// family index) and the atomic-publish layer perform their filesystem
-// operations through the FS interface. Production wires the passthrough
-// OS implementation; resilience tests and the chaos-smoke CI job wrap it
-// in an Injector whose schedule of EIO, ENOSPC, latency and torn-write
-// faults is a pure function of its seed — the same seed replays the same
-// fault sequence, so a chaos run that found a bug is reproducible.
+// Every on-disk cache rung (the snapshot cache, whose directories are
+// also its family index, and the analysis cache) and the atomic-publish
+// layer perform their filesystem operations through the FS interface.
+// Production wires the passthrough OS implementation; resilience tests
+// and the chaos-smoke CI job wrap it in an Injector whose schedule of
+// EIO, ENOSPC, latency and torn-write faults is a pure function of its
+// seed — the same seed replays the same fault sequence, so a chaos run
+// that found a bug is reproducible.
 //
 // Faults carry the real errno (syscall.EIO, syscall.ENOSPC) wrapped in a
 // descriptive error, so the resilience policies above this layer can
@@ -29,8 +30,7 @@ import (
 )
 
 // FS is the filesystem surface of the cache tree: exactly the operations
-// the snapshot cache, the analysis cache, the family index, the shard
-// lease/journal tree and the atomic-publish layer perform, and nothing
+// the snapshot cache, the analysis cache, the shard lease/journal tree and the atomic-publish layer perform, and nothing
 // more — a deliberately small interface so the injector covers every
 // path that can fail.
 type FS interface {
@@ -79,7 +79,7 @@ func (osFS) CreateTemp(dir, pattern string) (File, error) {
 }
 
 // ReadCounter is a passthrough FS that counts the ReadFile calls whose
-// path has the extension Ext (".member", ".snap"): the seam tests and
+// path has the extension Ext (".snap", ".anl"): the seam tests and
 // benchmarks pin a lookup's read count through.
 type ReadCounter struct {
 	FS

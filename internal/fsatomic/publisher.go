@@ -3,6 +3,7 @@ package fsatomic
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -224,7 +225,24 @@ func (p *Publisher) admitProbe() bool {
 	return true
 }
 
-// Publish atomically writes data to path under the resilience policy.
+// attempt is one publish attempt: PublishFS, and when path's directory
+// does not exist yet, creating it and publishing again. Creating the
+// directory inside the attempt puts it under the resilience policy like
+// every other write: a failed mkdir is retried and counted, and nothing
+// is created while the publisher is degraded.
+func (p *Publisher) attempt(path string, data []byte) error {
+	err := PublishFS(p.fs(), path, data)
+	if !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	if err := p.fs().MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("fsatomic: creating directory of %s: %w", filepath.Base(path), err)
+	}
+	return PublishFS(p.fs(), path, data)
+}
+
+// Publish atomically writes data to path under the resilience policy,
+// creating path's directory if needed.
 func (p *Publisher) Publish(path string, data []byte) error {
 	if p.degraded.Load() {
 		if !p.admitProbe() {
@@ -232,7 +250,7 @@ func (p *Publisher) Publish(path string, data []byte) error {
 			return ErrDegraded
 		}
 		p.reprobes.Add(1)
-		err := PublishFS(p.fs(), path, data)
+		err := p.attempt(path, data)
 		if err != nil {
 			p.demote() // re-arm the timer on the failure path too
 			return fmt.Errorf("%w (re-probe failed: %v)", ErrDegraded, err)
@@ -242,7 +260,7 @@ func (p *Publisher) Publish(path string, data []byte) error {
 		return nil
 	}
 
-	err := PublishFS(p.fs(), path, data)
+	err := p.attempt(path, data)
 	if err == nil {
 		return nil
 	}
@@ -255,7 +273,7 @@ func (p *Publisher) Publish(path string, data []byte) error {
 		time.Sleep(delay)
 		delay *= 2
 		p.retries.Add(1)
-		err = PublishFS(p.fs(), path, data)
+		err = p.attempt(path, data)
 		if err == nil {
 			p.absorbed.Add(1)
 			return nil

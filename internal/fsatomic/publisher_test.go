@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -165,5 +166,62 @@ func TestPublisherFailedReprobeRearms(t *testing.T) {
 	}
 	if st := p.Stats(); st.Reprobes != 1 || st.Recoveries != 0 {
 		t.Errorf("stats = %+v, want 1 reprobe, 0 recoveries", st)
+	}
+}
+
+// mkdirFaults fails the first fail MkdirAll calls with EIO and counts
+// every call.
+type mkdirFaults struct {
+	faultfs.FS
+	fail, calls int
+}
+
+func (m *mkdirFaults) MkdirAll(path string, perm os.FileMode) error {
+	m.calls++
+	if m.calls <= m.fail {
+		return syscall.EIO
+	}
+	return m.FS.MkdirAll(path, perm)
+}
+
+// TestPublisherCreatesMissingDirectory: a publish into a directory that
+// does not exist yet creates it inside the attempt, so a failed mkdir is
+// retried and counted like any other write fault, and a degraded
+// publisher creates nothing.
+func TestPublisherCreatesMissingDirectory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "family", "entry")
+
+	// One failed mkdir: retried, then absorbed.
+	fs := &mkdirFaults{FS: faultfs.OS, fail: 1}
+	p := &Publisher{FS: fs, Backoff: time.Microsecond}
+	if err := p.Publish(path, []byte("x")); err != nil {
+		t.Fatalf("publish into a missing directory: %v", err)
+	}
+	if b, err := os.ReadFile(path); err != nil || string(b) != "x" {
+		t.Fatalf("read back %q, %v", b, err)
+	}
+	if st := p.Stats(); st.Retries != 1 || st.Absorbed != 1 || fs.calls != 2 {
+		t.Errorf("stats = %+v after %d mkdirs, want 1 retry, 1 absorbed, 2 mkdirs", st, fs.calls)
+	}
+
+	// Every mkdir fails: the budget runs out, the publisher demotes,
+	// and the next publish is suppressed without another mkdir.
+	path = filepath.Join(t.TempDir(), "family", "entry")
+	fs = &mkdirFaults{FS: faultfs.OS, fail: 1 << 30}
+	p = &Publisher{FS: fs, Backoff: time.Microsecond, ReprobeAfter: time.Hour}
+	if err := p.Publish(path, []byte("x")); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("publish with a failing mkdir = %v, want EIO", err)
+	}
+	if !p.Degraded() || fs.calls != 3 {
+		t.Fatalf("degraded=%v after %d mkdirs, want degraded after 3 (1 try + 2 retries)", p.Degraded(), fs.calls)
+	}
+	if err := p.Publish(path, []byte("x")); !errors.Is(err, ErrDegraded) {
+		t.Errorf("degraded publish = %v, want ErrDegraded", err)
+	}
+	if st := p.Stats(); st.Suppressed != 1 || fs.calls != 3 {
+		t.Errorf("stats = %+v after %d mkdirs, want 1 suppressed and no further mkdir", st, fs.calls)
+	}
+	if _, err := os.Stat(filepath.Dir(path)); !os.IsNotExist(err) {
+		t.Errorf("directory exists after every mkdir failed: %v", err)
 	}
 }

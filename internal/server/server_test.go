@@ -509,7 +509,7 @@ func TestTwoDaemonsShareCacheTree(t *testing.T) {
 
 	// The shared tree holds exactly one snapshot and one analysis —
 	// no torn or stray temp files from the concurrent publishes.
-	snaps, err := filepath.Glob(filepath.Join(cacheDir, "*.snap"))
+	snaps, err := filepath.Glob(filepath.Join(cacheDir, "snapshots", "*", "*.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,18 +523,17 @@ func TestTwoDaemonsShareCacheTree(t *testing.T) {
 	if len(anls) != 1 {
 		t.Errorf("shared cache holds %d analyses, want 1: %v", len(anls), anls)
 	}
-	entries, err := os.ReadDir(cacheDir)
+	err = filepath.WalkDir(cacheDir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		if ext := filepath.Ext(path); ext != ".snap" && ext != ".anl" {
+			t.Errorf("stray file %q in shared cache tree", path)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		if !strings.HasSuffix(name, ".snap") && !strings.HasSuffix(name, ".idx") {
-			t.Errorf("stray file %q in shared cache tree", name)
-		}
 	}
 
 	// A third daemon over the same tree is warm from scrape one: zero

@@ -155,12 +155,23 @@ func LoadManifest(dir string) (*Manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
+	return decodeManifest(raw)
+}
+
+// decodeManifest parses and validates manifest bytes.
+func decodeManifest(raw []byte) (*Manifest, error) {
 	var man Manifest
 	if err := json.Unmarshal(raw, &man); err != nil {
 		return nil, fmt.Errorf("shard: manifest: %w", err)
 	}
 	if man.Schema != ManifestSchema {
 		return nil, fmt.Errorf("shard: manifest schema %q, this build reads %q", man.Schema, ManifestSchema)
+	}
+	// Plan records the normalised spec, whose seed range is already an
+	// explicit list; expanding a recorded count would size an
+	// allocation from unverified bytes before the identity check.
+	if man.Spec.SeedCount != 0 {
+		return nil, fmt.Errorf("shard: manifest spec carries an unexpanded seed count %d", man.Spec.SeedCount)
 	}
 	id, err := manifestID(man.Spec, man.Cells)
 	if err != nil {

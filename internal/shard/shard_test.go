@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -816,4 +817,43 @@ func TestClaimOrderFamilyAffine(t *testing.T) {
 	if len(orders) < 2 {
 		t.Fatalf("all worker IDs produced the same claim order — rotation is not keyed by worker ID")
 	}
+}
+
+// FuzzLoadManifest: decoding manifest bytes never panics, an accepted
+// manifest rebuilds its matrix (or refuses) without panicking, and
+// re-marshalling an accepted manifest loads back to the same ID.
+func FuzzLoadManifest(f *testing.F) {
+	for _, spec := range []experiments.CampaignSpec{
+		{Workloads: []string{"npb.is"}, Seeds: []uint64{1, 2}},
+		{Workloads: []string{"all"}, Platforms: []string{"xeonmax", "dual"}, SeedCount: 3, Iterations: 7},
+	} {
+		dir := f.TempDir()
+		if _, err := Plan(dir, spec); err != nil {
+			f.Fatal(err)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Add([]byte(`{"schema":"hmpt-shard/v1","spec":{"workloads":["npb.is"],"seed_count":1152921504606846976},"cells":1,"id":""}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		man, err := decodeManifest(raw)
+		if err != nil {
+			return
+		}
+		man.Matrix()
+		again, err := json.Marshal(man)
+		if err != nil {
+			t.Fatalf("re-marshalling an accepted manifest: %v", err)
+		}
+		back, err := decodeManifest(again)
+		if err != nil {
+			t.Fatalf("re-marshalled manifest does not load: %v", err)
+		}
+		if back.ID != man.ID {
+			t.Fatalf("re-marshalled manifest loads to ID %.12s, want %.12s", back.ID, man.ID)
+		}
+	})
 }

@@ -127,8 +127,9 @@ func (c *cacheCounters) stats() CacheStats {
 	}
 }
 
-// SnapshotCache is a content-addressed snapshot store on disk: one file
-// per SnapshotKey under the cache directory, named by the key's ID.
+// SnapshotCache is a snapshot store on disk: one file per SnapshotKey,
+// at <dir>/snapshots/<familyID>/<member name> (see Path), so the family
+// directory doubles as the derivation-family index.
 // Writes are atomic (temp file + rename), so concurrent campaign workers
 // and interrupted runs can never leave a partially written entry that a
 // later Load would trust — and Load verifies the codec checksum and the
@@ -182,9 +183,10 @@ func (c *SnapshotCache) Publisher() *fsatomic.Publisher { return &c.pub }
 // therefore warm serving — are unaffected.
 func (c *SnapshotCache) Degraded() bool { return c.pub.Degraded() }
 
-// Path returns the file path an entry for the key lives at.
+// Path returns the file path an entry for the key lives at: its family
+// directory, under a name spelling the key's iterations, scale and seed.
 func (c *SnapshotCache) Path(k SnapshotKey) string {
-	return filepath.Join(c.dir, k.ID()+".snap")
+	return filepath.Join(c.familyDir(k.Family()), memberName(k.Iterations, k.Scale, k.Seed))
 }
 
 // Load returns the cached snapshot for the key, or ok=false on a miss.
@@ -208,22 +210,26 @@ func (c *SnapshotCache) Load(k SnapshotKey) (snap *Snapshot, ok bool, err error)
 	}
 	if !k.Matches(s.Meta) {
 		c.cnt.errors.Add(1)
-		return nil, false, fmt.Errorf("trace: cached snapshot %s holds %q/%q/threads=%d/scale=%g/seed=%d, key wants %q/%q/threads=%d/scale=%g/seed=%d",
-			k.ID()[:12], s.Meta.Workload, s.Meta.Config, s.Meta.Threads, s.Meta.Scale, s.Meta.Seed,
-			k.Workload, k.Config, k.Threads, k.Scale, k.Seed)
+		// Every field Matches compares, on both sides.
+		const f = "%q/%q/threads=%d/scale=%g/seed=%d/period=%d/budget=%d/iters=%d"
+		m := s.Meta
+		return nil, false, fmt.Errorf("trace: cached snapshot %s holds "+f+", key wants "+f, k.ID()[:12],
+			m.Workload, m.Config, m.Threads, m.Scale, m.Seed, m.SamplePeriod, m.SampleBudget, m.Iterations,
+			k.Workload, k.Config, k.Threads, k.Scale, k.Seed, k.SamplePeriod, k.SampleBudget, k.Iterations)
 	}
 	c.cnt.hits.Add(1)
 	return s, true, nil
 }
 
 // Store writes the snapshot under the key, atomically replacing any
-// existing entry, and registers the key in the on-disk family index so
-// later lookups of sibling keys (same family, different iterations or
-// scale) can find this entry as a derivation base. The publish is safe
-// against concurrent writers in other processes: every writer stages
-// under a unique temp name and the final rename is atomic, so readers
-// only ever observe complete entries (never a torn interleaving of two
-// campaigns' stores).
+// existing entry. Its path lies in the key's family directory, so the
+// one publish also makes the entry a derivation base for later lookups
+// of sibling keys (same family, different iterations, scale or seed);
+// the publisher creates the family directory when it is missing. The
+// publish is safe against concurrent writers in other processes: every
+// writer stages under a unique temp name and the final rename is
+// atomic, so readers only ever observe complete entries (never a torn
+// interleaving of two campaigns' stores).
 func (c *SnapshotCache) Store(k SnapshotKey, s *Snapshot) error {
 	if !k.Matches(s.Meta) {
 		c.cnt.errors.Add(1)
@@ -239,5 +245,5 @@ func (c *SnapshotCache) Store(k SnapshotKey, s *Snapshot) error {
 		return fmt.Errorf("trace: publishing snapshot: %w", err)
 	}
 	c.cnt.stores.Add(1)
-	return c.registerFamily(k)
+	return nil
 }

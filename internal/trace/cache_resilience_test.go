@@ -2,9 +2,11 @@ package trace
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -77,9 +79,10 @@ func TestSnapshotCacheCorruptEntryHeals(t *testing.T) {
 	}
 }
 
-// TestFamilyIndexCorruptRecordsHeal: corrupt or renamed family-index
-// records are skipped as non-fatal misses, bump Stats().Errors, and the
-// next Store of the member re-publishes the record, healing the index.
+// TestFamilyIndexCorruptRecordsHeal: a family directory polluted with a
+// file whose name does not parse, or with a snapshot moved to another
+// member's name, degrades to non-fatal misses counted in Stats().Errors,
+// and the next Store of the member heals the family.
 func TestFamilyIndexCorruptRecordsHeal(t *testing.T) {
 	cache, err := NewSnapshotCache(filepath.Join(t.TempDir(), "snapshots"))
 	if err != nil {
@@ -98,46 +101,96 @@ func TestFamilyIndexCorruptRecordsHeal(t *testing.T) {
 	if members := cache.FamilyMembers(baseKey); len(members) != 1 || members[0] != sibKey {
 		t.Fatalf("family members = %v, want exactly the sibling", members)
 	}
-
-	record := filepath.Join(cache.familyDir(baseKey.Family()), sibKey.ID()+".member")
 	errsBefore := cache.Stats().Errors
 
-	// Corrupt the sibling's record: it must drop out of the listing
-	// without failing it, and the skip must be observable in Stats.
-	if err := os.WriteFile(record, []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if members := cache.FamilyMembers(baseKey); len(members) != 0 {
-		t.Errorf("corrupt record still listed: %v", members)
-	}
-	if got := cache.Stats().Errors; got != errsBefore+1 {
-		t.Errorf("Stats().Errors = %d, want %d after a corrupt record", got, errsBefore+1)
-	}
-
-	// A renamed (aliased) record is equally non-fatal and counted.
-	if err := cache.Store(sibKey, sibling); err != nil {
-		t.Fatal(err)
-	}
-	alias := filepath.Join(cache.familyDir(baseKey.Family()), "0000deadbeef.member")
-	if err := os.Rename(record, alias); err != nil {
-		t.Fatal(err)
-	}
-	if members := cache.FamilyMembers(baseKey); len(members) != 0 {
-		t.Errorf("aliased record still listed: %v", members)
-	}
-	if got := cache.Stats().Errors; got != errsBefore+2 {
-		t.Errorf("Stats().Errors = %d, want %d after an aliased record", got, errsBefore+2)
-	}
-	if err := os.Remove(alias); err != nil {
-		t.Fatal(err)
-	}
-
-	// Healing: re-storing the sibling re-publishes its record.
-	if err := cache.Store(sibKey, sibling); err != nil {
+	// An unparsable name is skipped without failing the listing, and
+	// the skip is observable in Stats.
+	junk := filepath.Join(cache.familyDir(baseKey.Family()), "deadbeef.snap")
+	if err := os.WriteFile(junk, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if members := cache.FamilyMembers(baseKey); len(members) != 1 || members[0] != sibKey {
-		t.Errorf("healed index lists %v, want the sibling", members)
+		t.Errorf("family members = %v with an unparsable name, want exactly the sibling", members)
+	}
+	if got := cache.Stats().Errors; got != errsBefore+1 {
+		t.Errorf("Stats().Errors = %d, want %d after an unparsable name", got, errsBefore+1)
+	}
+	if err := os.Remove(junk); err != nil {
+		t.Fatal(err)
+	}
+
+	// The sibling's snapshot moved to another member's name: the name
+	// lists, but Load's metadata match rejects it, naming the field
+	// that differs, and FamilyBase passes it over.
+	moved := sibKey
+	moved.Iterations++
+	if err := os.Rename(cache.Path(sibKey), cache.Path(moved)); err != nil {
+		t.Fatal(err)
+	}
+	if members := cache.FamilyMembers(baseKey); len(members) != 1 || members[0] != moved {
+		t.Errorf("family members = %v, want the moved name", members)
+	}
+	_, ok, err := cache.Load(moved)
+	if ok || err == nil {
+		t.Fatalf("loading a moved snapshot: ok=%v err=%v, want a mismatch error", ok, err)
+	}
+	held, wanted := fmt.Sprintf("iters=%d", sibKey.Iterations), fmt.Sprintf("iters=%d", moved.Iterations)
+	if msg := err.Error(); !strings.Contains(msg, held) || !strings.Contains(msg, wanted) {
+		t.Errorf("mismatch error %q does not show both iteration counts", msg)
+	}
+	if _, ok := cache.FamilyBase(baseKey); ok {
+		t.Error("FamilyBase served a moved snapshot")
+	}
+	if got := cache.Stats().Errors; got != errsBefore+3 {
+		t.Errorf("Stats().Errors = %d, want %d after two loads of a moved snapshot", got, errsBefore+3)
+	}
+
+	// Healing: re-storing the sibling puts it back under its own name,
+	// where it sorts before the moved file and serves as the base.
+	if err := cache.Store(sibKey, sibling); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := cache.FamilyBase(baseKey)
+	if !ok || !reflect.DeepEqual(got, sibling) {
+		t.Errorf("healed family: FamilyBase ok=%v, want the sibling", ok)
+	}
+}
+
+// renameCounter counts the renames that publish files.
+type renameCounter struct {
+	faultfs.FS
+	renames int
+}
+
+func (r *renameCounter) Rename(oldpath, newpath string) error {
+	r.renames++
+	return r.FS.Rename(oldpath, newpath)
+}
+
+// TestStorePublishesOnce: a Store is one publish, into a family
+// directory it creates on first use, and the entry it publishes is
+// both loadable and listed in its family.
+func TestStorePublishesOnce(t *testing.T) {
+	fs := &renameCounter{FS: faultfs.OS}
+	cache, err := NewSnapshotCacheFS(filepath.Join(t.TempDir(), "snapshots"), fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, sibling := sampleSnapshot(), sampleSnapshot()
+	sibling.Meta.Seed++
+	for i, s := range []*Snapshot{base, sibling} {
+		if err := cache.Store(snapKeyFor(s), s); err != nil {
+			t.Fatal(err)
+		}
+		if fs.renames != i+1 {
+			t.Fatalf("%d stores made %d publishes, want %d", i+1, fs.renames, i+1)
+		}
+	}
+	if members := cache.FamilyMembers(snapKeyFor(base)); len(members) != 1 || members[0] != snapKeyFor(sibling) {
+		t.Errorf("family members = %v, want exactly the sibling", members)
+	}
+	if _, ok, err := cache.Load(snapKeyFor(sibling)); !ok || err != nil {
+		t.Errorf("stored sibling: ok=%v err=%v", ok, err)
 	}
 }
 

@@ -2,112 +2,81 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
-
-	"hmpt/internal/wire"
+	"strconv"
 )
 
-// The family index is the on-disk side of snapshot derivation: a
-// directory per derivation family under <cache>/families/<familyID>/,
-// holding one small record per cached member. A cache lookup that
-// misses its exact key asks FamilyBase for a derivation base and
-// synthesizes the requested snapshot without executing a kernel.
-// FamilyBase walks the records in member-ID order and stops at the first
-// member whose snapshot loads, so a miss reads one record (plus any
-// unusable ones sorted before it) however large the family has grown;
-// FamilyMembers, which lists the whole family, is for inspection.
+// The family index is the on-disk side of snapshot derivation, and it is
+// the snapshot store's own layout: every snapshot lives in a directory
+// per derivation family, <cache>/snapshots/<familyID>/, under a file
+// name spelling the three fields derivation can vary (see memberName).
+// Listing the directory therefore lists the family, and the name parses
+// back to the member's key. A cache lookup that misses its exact key
+// asks FamilyBase for a derivation base and synthesizes the requested
+// snapshot without executing a kernel. FamilyBase walks the names in
+// sorted order and stops at the first member whose snapshot loads, so a
+// miss reads one snapshot (plus any unusable ones sorted before it)
+// however large the family has grown; FamilyMembers, which lists the
+// whole family, is for inspection.
 //
-// Each member record is its own file (named by the member's snapshot
-// ID) published through internal/fsatomic, so concurrent campaigns in
-// separate processes never contend on a shared index file: registration
-// is idempotent and last-writer-wins per member. The index is advisory
-// only — a missing or unreadable record costs at most one extra kernel
-// execution, and records always re-validate through SnapshotCache.Load
-// (codec checksum plus key-metadata match) before anything trusts them.
-
-// familyMemberMagic leads every family member record.
-const familyMemberMagic = "HMPTFMBR"
+// A snapshot's one publish both stores it and enrols it in its family,
+// and removing the file retires it from both. The names are only a
+// hint — every member still goes through SnapshotCache.Load (codec
+// checksum plus key-metadata match) before anything trusts it, so a
+// moved or renamed file costs at most one extra kernel execution.
 
 func (c *SnapshotCache) familyDir(f FamilyKey) string {
-	return filepath.Join(c.dir, "families", f.ID())
+	return filepath.Join(c.dir, "snapshots", f.ID())
 }
 
-// encodeFamilyMember serialises the member fields derivation can vary.
-func encodeFamilyMember(k SnapshotKey) []byte {
-	var e wire.Encoder
-	e.Raw([]byte(familyMemberMagic))
-	e.F64(k.Scale)
-	e.I64(int64(k.Iterations))
-	e.U64(k.Seed)
-	return e.Seal()
+// memberName is the file name of a family member's snapshot: its
+// iteration count, scale bits and seed as fixed-width lowercase hex, so
+// byte order of names is a total order over members and a name parses
+// back to exactly the fields it was made from.
+func memberName(iterations int, scale float64, seed uint64) string {
+	return fmt.Sprintf("%016x-%016x-%016x.snap", uint64(int64(iterations)), math.Float64bits(scale), seed)
 }
 
-// decodeFamilyMember reconstructs a member key from its record and the
-// family the record was listed under.
-func decodeFamilyMember(f FamilyKey, raw []byte) (SnapshotKey, error) {
-	if len(raw) < len(familyMemberMagic) || string(raw[:len(familyMemberMagic)]) != familyMemberMagic {
-		return SnapshotKey{}, fmt.Errorf("trace: bad family member magic")
+// MemberName is the file name, within its family directory, of the
+// snapshot whose metadata is m. The cache GC checks stored files
+// against it: a snapshot under any other name is never loaded.
+func MemberName(m Meta) string { return memberName(m.Iterations, m.Scale, m.Seed) }
+
+// parseMemberName reconstructs a member key from its file name and the
+// family it was listed under. It accepts exactly the names memberName
+// makes.
+func parseMemberName(f FamilyKey, name string) (SnapshotKey, bool) {
+	if len(name) != 3*16+2+len(".snap") {
+		return SnapshotKey{}, false
 	}
-	payload, err := wire.CheckSeal(raw)
-	if err != nil {
-		return SnapshotKey{}, fmt.Errorf("trace: family member: %w", err)
+	var v [3]uint64
+	for i := range v {
+		var err error
+		if v[i], err = strconv.ParseUint(name[17*i:17*i+16], 16, 64); err != nil {
+			return SnapshotKey{}, false
+		}
 	}
-	d := wire.NewDecoder(payload[len(familyMemberMagic):])
-	scale := d.F64()
-	iters := int(d.I64())
-	seed := d.U64()
-	if err := d.Err(); err != nil {
-		return SnapshotKey{}, err
+	iterations, scale, seed := int(int64(v[0])), math.Float64frombits(v[1]), v[2]
+	// Re-encoding rejects upper-case digits and stray separators.
+	if memberName(iterations, scale, seed) != name {
+		return SnapshotKey{}, false
 	}
-	return f.WithFamily(scale, iters, seed), nil
+	return f.WithFamily(scale, iterations, seed), true
 }
 
-// ValidFamilyMember reports whether raw is a structurally valid family
-// member record (magic plus seal). The cache GC classifies member
-// records with it: full decoding needs the family key, which a GC
-// walking the directory tree does not have, but a record that fails
-// this check can never be read by any key — dead by construction.
-func ValidFamilyMember(raw []byte) error {
-	if len(raw) < len(familyMemberMagic) || string(raw[:len(familyMemberMagic)]) != familyMemberMagic {
-		return fmt.Errorf("trace: bad family member magic")
-	}
-	if _, err := wire.CheckSeal(raw); err != nil {
-		return fmt.Errorf("trace: family member: %w", err)
-	}
-	return nil
-}
-
-// registerFamily publishes the key's member record into its family
-// directory. Failures degrade the index, not the store: the snapshot
-// entry itself is already published and addressable by exact key.
-func (c *SnapshotCache) registerFamily(k SnapshotKey) error {
-	dir := c.familyDir(k.Family())
-	if err := c.fs.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("trace: creating family index: %w", err)
-	}
-	path := filepath.Join(dir, k.ID()+".member")
-	if err := c.pub.Publish(path, encodeFamilyMember(k)); err != nil {
-		return fmt.Errorf("trace: publishing family member: %w", err)
-	}
-	return nil
-}
-
-// walkFamily calls fn with each valid member of the key's derivation
-// family, excluding the key itself, in member-ID order, and stops as
-// soon as fn returns false — so a caller that wants one member reads
-// only the records up to it. The record names are sorted here rather
-// than trusting the filesystem's listing order; a valid record's name is
-// its member ID, so name order is ID order. Unreadable, corrupt or
-// renamed records are skipped as non-fatal (the index is advisory and
-// every member still goes through Load's full validation before use)
-// but counted in Stats().Errors so degraded index health is observable;
-// the next Store of the member re-publishes its record, healing it.
+// walkFamily calls fn with each member of the key's derivation family,
+// excluding the key itself, in name order, and stops as soon as fn
+// returns false — so a caller that wants one member loads only the
+// snapshots up to it. The names are sorted here rather than trusting the
+// filesystem's listing order. A name that does not parse is skipped as
+// non-fatal but counted in Stats().Errors, so a polluted family
+// directory is observable.
 func (c *SnapshotCache) walkFamily(k SnapshotKey, fn func(SnapshotKey) bool) {
 	fam := k.Family()
-	dir := c.familyDir(fam)
-	entries, err := c.fs.ReadDir(dir)
+	entries, err := c.fs.ReadDir(c.familyDir(fam))
 	if err != nil {
 		if !os.IsNotExist(err) {
 			c.cnt.errors.Add(1)
@@ -116,31 +85,18 @@ func (c *SnapshotCache) walkFamily(k SnapshotKey, fn func(SnapshotKey) bool) {
 	}
 	names := make([]string, 0, len(entries))
 	for _, ent := range entries {
-		if name := ent.Name(); !ent.IsDir() && filepath.Ext(name) == ".member" {
+		if name := ent.Name(); !ent.IsDir() && filepath.Ext(name) == ".snap" {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
-	self := k.ID()
+	self := memberName(k.Iterations, k.Scale, k.Seed)
 	for _, name := range names {
-		raw, err := c.fs.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			c.cnt.errors.Add(1)
+		if name == self {
 			continue
 		}
-		mk, err := decodeFamilyMember(fam, raw)
-		if err != nil {
-			c.cnt.errors.Add(1)
-			continue
-		}
-		id := mk.ID()
-		if id == self {
-			continue
-		}
-		// The record's file name must agree with the key it decodes to —
-		// a renamed or cross-copied record would otherwise alias a
-		// member that does not exist.
-		if name != id+".member" {
+		mk, ok := parseMemberName(fam, name)
+		if !ok {
 			c.cnt.errors.Add(1)
 			continue
 		}
@@ -151,9 +107,8 @@ func (c *SnapshotCache) walkFamily(k SnapshotKey, fn func(SnapshotKey) bool) {
 }
 
 // FamilyMembers lists every cached member of the key's derivation
-// family, excluding the key itself, in deterministic (member-ID) order.
-// It reads the whole family index; FamilyBase is the lookup that stops
-// at the first usable member.
+// family, excluding the key itself, in name order. It reads only the
+// family directory; FamilyBase is the lookup that loads members.
 func (c *SnapshotCache) FamilyMembers(k SnapshotKey) []SnapshotKey {
 	var out []SnapshotKey
 	c.walkFamily(k, func(mk SnapshotKey) bool {
@@ -164,11 +119,11 @@ func (c *SnapshotCache) FamilyMembers(k SnapshotKey) []SnapshotKey {
 }
 
 // FamilyBase returns the first member of the key's derivation family,
-// in member-ID order, whose snapshot loads — the same base a caller
-// would pick by loading FamilyMembers in order — reading records only
-// up to it, so the records it reads do not grow with the family. A
-// member whose snapshot is missing or fails Load's checksum and
-// metadata validation is passed over; ok is false when no member loads.
+// in name order, whose snapshot loads — the same base a caller would
+// pick by loading FamilyMembers in order — reading snapshots only up to
+// it, so the snapshots it reads do not grow with the family. A member
+// whose snapshot is missing or fails Load's checksum and metadata
+// validation is passed over; ok is false when no member loads.
 func (c *SnapshotCache) FamilyBase(k SnapshotKey) (base *Snapshot, ok bool) {
 	c.walkFamily(k, func(mk SnapshotKey) bool {
 		base, ok, _ = c.Load(mk)
