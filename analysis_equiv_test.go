@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"testing"
 
+	"hmpt/internal/campaign"
 	"hmpt/internal/core"
 )
 
@@ -47,6 +48,7 @@ func analysisKeyFor(t *testing.T, c equivCase) core.AnalysisKey {
 // workload's analysis through the cache, comparing byte-for-byte
 // against the live engine analysis and the naive-oracle analysis.
 func TestAnalysisCacheRoundTrip(t *testing.T) {
+	t.Parallel()
 	cache, err := core.NewAnalysisCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -85,12 +87,20 @@ func TestAnalysisCacheRoundTrip(t *testing.T) {
 			if err := cache.Store(key, live); err != nil {
 				t.Fatalf("store: %v", err)
 			}
-			before := core.SweepEvaluations()
 			cached, ok, err := cache.Load(key)
 			if err != nil || !ok {
 				t.Fatalf("load: ok=%v err=%v", ok, err)
 			}
-			if got := core.SweepEvaluations() - before; got != 0 {
+			// Load takes no context, so its ledger check runs through
+			// the engine: a cell served from this cache costs nothing.
+			served, err := (&campaign.Engine{Analyses: cache}).Run(campaign.Matrix{
+				Workloads: []campaign.Workload{{Name: c.name, Factory: c.factory, Options: c.opts}},
+				Platforms: []campaign.Platform{{Name: "p", Platform: c.opts.Platform}},
+			})
+			if err != nil || served.AnalysisHits != 1 {
+				t.Fatalf("engine over the cache: err=%v, want one analysis hit (%+v)", err, served)
+			}
+			if got := served.Work.SweepEvaluations; got != 0 {
 				t.Errorf("cache load ran %d placement passes, want 0", got)
 			}
 			if !reflect.DeepEqual(live, cached) {

@@ -517,7 +517,6 @@ func BenchmarkCampaignMatrix(b *testing.B) {
 	var saved int64
 	b.Run("engine", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			before := core.KernelExecutions()
 			res, err := (&campaign.Engine{}).Run(matrix)
 			if err != nil {
 				b.Fatal(err)
@@ -525,7 +524,7 @@ func BenchmarkCampaignMatrix(b *testing.B) {
 			if err := res.Err(); err != nil {
 				b.Fatal(err)
 			}
-			saved = int64(cells) - (core.KernelExecutions() - before)
+			saved = int64(cells) - res.Work.Kernels
 		}
 		b.ReportMetric(float64(saved), "kernels-saved")
 		engineNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
@@ -614,21 +613,25 @@ func BenchmarkWarmCampaignPlacementFree(b *testing.B) {
 	if _, err := experiments.Table2(p, true); err != nil {
 		b.Fatal(err) // cold fill of the shared flight group
 	}
-	kernels := core.KernelExecutions()
-	samples := core.SamplePasses()
-	sweeps := core.SweepEvaluations()
+	// The gated regenerations are experiments.Table2 spelled out, so
+	// their work lands on a ledger.
+	lctx, led := ledgerContext()
 	warmNs := minSampleNs(b, 5, func(uint64) {
-		if _, err := experiments.Table2(p, true); err != nil {
+		res, err := experiments.CampaignEngine().RunContext(lctx, experiments.CampaignMatrix(p, true))
+		if err == nil {
+			_, err = experiments.Table2Campaign(res)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	})
-	if got := core.KernelExecutions() - kernels; got != 0 {
+	if got := led.Work().Kernels; got != 0 {
 		b.Errorf("warm Table II executed %d kernels, want 0", got)
 	}
-	if got := core.SamplePasses() - samples; got != 0 {
+	if got := led.Work().SamplePasses; got != 0 {
 		b.Errorf("warm Table II ran %d sampling passes, want 0", got)
 	}
-	if got := core.SweepEvaluations() - sweeps; got != 0 {
+	if got := led.Work().SweepEvaluations; got != 0 {
 		b.Errorf("warm Table II ran %d probe/sweep placement passes, want 0", got)
 	}
 	const gateNs = 1.05e6 // 2x over the PR 3 warm baseline of ~2.1 ms
@@ -1123,8 +1126,9 @@ func BenchmarkSeedSweep(b *testing.B) {
 			Apply: func(o *core.Options) { o.Seed = seed },
 		})
 	}
+	lctx, led := ledgerContext()
 	sweep := func() {
-		res, err := (&campaign.Engine{}).Run(matrix)
+		res, err := (&campaign.Engine{}).RunContext(lctx, matrix)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1138,9 +1142,8 @@ func BenchmarkSeedSweep(b *testing.B) {
 	}
 
 	const reps = 3
-	kernels := core.KernelExecutions()
 	sweepNs := minSampleNs(b, reps, func(uint64) { sweep() })
-	if got := core.KernelExecutions() - kernels; got != reps {
+	if got := led.Work().Kernels; got != reps {
 		b.Errorf("%d cold sweeps executed %d kernels, want exactly one each", reps, got)
 	}
 	perSeedNs := minSampleNs(b, reps, func(uint64) {
@@ -1261,10 +1264,7 @@ func BenchmarkDaemonWarmServe(b *testing.B) {
 		b.Fatalf("warm-up burst saw %d errors (first: %s)", warmup.Errors, warmup.FirstError)
 	}
 
-	kernels := core.KernelExecutions()
-	samples := core.SamplePasses()
-	sweeps := core.SweepEvaluations()
-	derived := core.DerivedSnapshots()
+	base := s.Work()
 	rep, err := server.RunLoad(server.LoadConfig{
 		BaseURL: ts.URL, Clients: 4, Requests: 64, Workloads: mix,
 	})
@@ -1274,16 +1274,17 @@ func BenchmarkDaemonWarmServe(b *testing.B) {
 	if rep.Errors != 0 {
 		b.Fatalf("warm burst saw %d errors (first: %s)", rep.Errors, rep.FirstError)
 	}
-	if got := core.KernelExecutions() - kernels; got != 0 {
+	work := s.Work()
+	if got := work.Kernels - base.Kernels; got != 0 {
 		b.Errorf("warm burst executed %d kernels, want 0", got)
 	}
-	if got := core.SamplePasses() - samples; got != 0 {
+	if got := work.SamplePasses - base.SamplePasses; got != 0 {
 		b.Errorf("warm burst ran %d sampling passes, want 0", got)
 	}
-	if got := core.SweepEvaluations() - sweeps; got != 0 {
+	if got := work.SweepEvaluations - base.SweepEvaluations; got != 0 {
 		b.Errorf("warm burst ran %d placement passes, want 0", got)
 	}
-	if got := core.DerivedSnapshots() - derived; got != 0 {
+	if got := work.Derived - base.Derived; got != 0 {
 		b.Errorf("warm burst derived %d snapshots, want 0", got)
 	}
 	once("daemon-warm", fmt.Sprintf("\n== DaemonWarmServe: %.0f req/sec over %d clients, p50 %.3fms p95 %.3fms p99 %.3fms, 0 kernels / 0 sampling / 0 placement / 0 derived ==\n",

@@ -53,6 +53,7 @@ func iterativeWorkloads(t *testing.T) []campaign.Workload {
 // every other capture, with the cross-seed subset tallied by the
 // SeedDerivations counter.
 func TestCampaignSeedSweepOneKernelPerFamily(t *testing.T) {
+	t.Parallel()
 	m := campaign.Matrix{
 		Workloads: iterativeWorkloads(t),
 		Platforms: []campaign.Platform{{Name: "xeonmax", Platform: memsim.XeonMax9468()}},
@@ -78,9 +79,6 @@ func TestCampaignSeedSweepOneKernelPerFamily(t *testing.T) {
 	}
 	cells := len(m.Workloads) * len(m.Variants)
 
-	baseKernels := core.KernelExecutions()
-	baseDerived := core.DerivedSnapshots()
-	baseSeedDerived := core.SeedDerivations()
 	res, err := (&campaign.Engine{Flights: campaign.NewFlightGroup()}).Run(m)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +91,7 @@ func TestCampaignSeedSweepOneKernelPerFamily(t *testing.T) {
 	}
 
 	families := len(m.Workloads)
-	if got := core.KernelExecutions() - baseKernels; got != int64(families) {
+	if got := res.Work.Kernels; got != int64(families) {
 		t.Errorf("sweep executed %d kernels, want exactly one per family (%d)", got, families)
 	}
 	if res.Executions != families {
@@ -103,7 +101,7 @@ func TestCampaignSeedSweepOneKernelPerFamily(t *testing.T) {
 	if res.Derived != wantDerived {
 		t.Errorf("Result.Derived = %d, want %d (every non-base cell derived)", res.Derived, wantDerived)
 	}
-	if got := core.DerivedSnapshots() - baseDerived; got != int64(wantDerived) {
+	if got := res.Work.Derived; got != int64(wantDerived) {
 		t.Errorf("DerivedSnapshots delta = %d, want %d", got, wantDerived)
 	}
 	// Whichever (iterations, scale, seed) member resolves first in a
@@ -113,7 +111,7 @@ func TestCampaignSeedSweepOneKernelPerFamily(t *testing.T) {
 	if res.SeedDerived != wantSeedDerived {
 		t.Errorf("Result.SeedDerived = %d, want %d", res.SeedDerived, wantSeedDerived)
 	}
-	if got := core.SeedDerivations() - baseSeedDerived; got != int64(wantSeedDerived) {
+	if got := res.Work.SeedDerived; got != int64(wantSeedDerived) {
 		t.Errorf("SeedDerivations delta = %d, want %d", got, wantSeedDerived)
 	}
 	for i := range res.Cells {
@@ -129,6 +127,7 @@ func TestCampaignSeedSweepOneKernelPerFamily(t *testing.T) {
 // one real kernel per seed — derivation refuses, nothing is silently
 // transposed — and no seed derivations are tallied.
 func TestCampaignSeedSweepSeedDependentFallsBack(t *testing.T) {
+	t.Parallel()
 	var ws []campaign.Workload
 	for _, name := range []string{"chase", "randsum"} {
 		name := name
@@ -156,8 +155,6 @@ func TestCampaignSeedSweepSeedDependentFallsBack(t *testing.T) {
 		})
 	}
 
-	baseKernels := core.KernelExecutions()
-	baseSeedDerived := core.SeedDerivations()
 	res, err := (&campaign.Engine{Flights: campaign.NewFlightGroup()}).Run(m)
 	if err != nil {
 		t.Fatal(err)
@@ -166,14 +163,14 @@ func TestCampaignSeedSweepSeedDependentFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantKernels := len(ws) * 3
-	if got := core.KernelExecutions() - baseKernels; got != int64(wantKernels) {
+	if got := res.Work.Kernels; got != int64(wantKernels) {
 		t.Errorf("seed-dependent sweep executed %d kernels, want one per seed (%d)", got, wantKernels)
 	}
 	if res.Executions != wantKernels || res.Derived != 0 || res.SeedDerived != 0 {
 		t.Errorf("executions=%d derived=%d seedDerived=%d, want %d/0/0 (derivation must refuse)",
 			res.Executions, res.Derived, res.SeedDerived, wantKernels)
 	}
-	if got := core.SeedDerivations() - baseSeedDerived; got != 0 {
+	if got := res.Work.SeedDerived; got != 0 {
 		t.Errorf("SeedDerivations delta = %d, want 0", got)
 	}
 	for i := range res.Cells {

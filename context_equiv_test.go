@@ -7,17 +7,25 @@
 package hmpt
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
 
 	"hmpt/internal/core"
-	"hmpt/internal/ibs"
 	"hmpt/internal/memsim"
 )
 
+// ledgerContext returns a context carrying a fresh ledger, and the
+// ledger.
+func ledgerContext() (context.Context, *core.Ledger) {
+	l := core.NewLedger(nil)
+	return core.WithLedger(context.Background(), l), l
+}
+
 // TestContextReplayMatchesLive: one context per capture, many cells.
 func TestContextReplayMatchesLive(t *testing.T) {
+	t.Parallel()
 	for _, c := range equivCases(t) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -45,12 +53,12 @@ func TestContextReplayMatchesLive(t *testing.T) {
 				if err != nil {
 					t.Fatalf("variant %d live: %v", vi, err)
 				}
-				before := core.KernelExecutions()
-				shared, err := core.NewContextReplay(ctx, opts).Analyze()
+				lctx, led := ledgerContext()
+				shared, err := core.NewContextReplay(ctx, opts).AnalyzeContext(lctx)
 				if err != nil {
 					t.Fatalf("variant %d context replay: %v", vi, err)
 				}
-				if got := core.KernelExecutions() - before; got != 0 {
+				if got := led.Work().Kernels; got != 0 {
 					t.Errorf("variant %d: context replay executed %d kernels, want 0", vi, got)
 				}
 				if !reflect.DeepEqual(live, shared) {
@@ -128,10 +136,11 @@ func TestContextReplayConcurrent(t *testing.T) {
 
 // TestContextSharesCountValidation pins the platform-independent half
 // of report reconstruction: one shared context validates its embedded
-// sample counts exactly once (ibs.CountWalks), no matter how many
+// sample counts exactly once (core.CountWalk), no matter how many
 // platforms reconstruct sampling reports from it — only the per-platform
 // latency half is re-derived.
 func TestContextSharesCountValidation(t *testing.T) {
+	t.Parallel()
 	c := equivCases(t)[0]
 	snap, err := core.Capture(c.factory(), c.opts)
 	if err != nil {
@@ -141,28 +150,28 @@ func TestContextSharesCountValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := ibs.CountWalks()
+	lctx, led := ledgerContext()
 	for _, platform := range []*memsim.Platform{memsim.XeonMax9468(), memsim.DualXeonMax9468()} {
 		opts := c.opts
 		opts.Platform = platform
-		if _, err := core.NewContextReplay(ctx, opts).Analyze(); err != nil {
+		if _, err := core.NewContextReplay(ctx, opts).AnalyzeContext(lctx); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := ibs.CountWalks() - before; got != 1 {
+	if got := led.Work().CountWalks; got != 1 {
 		t.Errorf("two platforms ran %d count-validation walks, want 1 (shared table)", got)
 	}
 	// Per-replay reconstruction (no context) validates per call — the
 	// baseline the sharing is measured against.
-	before = ibs.CountWalks()
+	lctx, led = ledgerContext()
 	for _, platform := range []*memsim.Platform{memsim.XeonMax9468(), memsim.DualXeonMax9468()} {
 		opts := c.opts
 		opts.Platform = platform
-		if _, err := core.NewReplay(snap, opts).Analyze(); err != nil {
+		if _, err := core.NewReplay(snap, opts).AnalyzeContext(lctx); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := ibs.CountWalks() - before; got != 2 {
+	if got := led.Work().CountWalks; got != 2 {
 		t.Errorf("two per-replay analyses ran %d count walks, want 2", got)
 	}
 }

@@ -38,6 +38,7 @@ var deriveSkipList = map[string]string{
 // Iterations=0 default spelling when the base options use it — is
 // byte-identical to the original capture.
 func TestDeriveMatchesCapture(t *testing.T) {
+	t.Parallel()
 	for _, c := range equivCases(t) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -73,12 +74,12 @@ func TestDeriveMatchesCapture(t *testing.T) {
 			target := c.opts
 			target.Iterations = 2 * eff
 
-			before := core.DerivedSnapshots()
-			derived, err := core.DeriveSnapshot(base, c.factory(), target)
+			lctx, led := ledgerContext()
+			derived, err := core.DeriveSnapshotContext(lctx, base, c.factory(), target)
 			if err != nil {
 				t.Fatalf("derive %d -> %d: %v", c.opts.Iterations, target.Iterations, err)
 			}
-			if got := core.DerivedSnapshots() - before; got != 1 {
+			if got := led.Work().Derived; got != 1 {
 				t.Errorf("derivation tallied %d DerivedSnapshots ticks, want 1", got)
 			}
 			real, err := core.Capture(c.factory(), target)
@@ -234,6 +235,7 @@ func TestDeriveRefusals(t *testing.T) {
 // values, so only Meta.Seed/Meta.EnvSeed differ — and transposing back
 // reproduces the original capture bit for bit.
 func TestDeriveSeedMatchesCapture(t *testing.T) {
+	t.Parallel()
 	for _, c := range equivCases(t) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -266,16 +268,15 @@ func TestDeriveSeedMatchesCapture(t *testing.T) {
 			target := c.opts
 			target.Seed = effSeed + 1
 
-			beforeDerived := core.DerivedSnapshots()
-			beforeSeed := core.SeedDerivations()
-			derived, err := core.DeriveSnapshot(base, c.factory(), target)
+			lctx, led := ledgerContext()
+			derived, err := core.DeriveSnapshotContext(lctx, base, c.factory(), target)
 			if err != nil {
 				t.Fatalf("derive seed %d -> %d: %v", effSeed, target.Seed, err)
 			}
-			if got := core.DerivedSnapshots() - beforeDerived; got != 1 {
+			if got := led.Work().Derived; got != 1 {
 				t.Errorf("seed derivation tallied %d DerivedSnapshots ticks, want 1", got)
 			}
-			if got := core.SeedDerivations() - beforeSeed; got != 1 {
+			if got := led.Work().SeedDerived; got != 1 {
 				t.Errorf("seed derivation tallied %d SeedDerivations ticks, want 1", got)
 			}
 			real, err := core.Capture(c.factory(), target)

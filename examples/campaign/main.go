@@ -92,10 +92,7 @@ func main() {
 	// A second campaign over the same scenarios is fully warm: every
 	// cell is served straight from the analysis cache, so the pipeline
 	// performs zero kernel executions, zero IBS sampling passes and
-	// zero probe/sweep placement passes — the counters prove it.
-	kernels := hmpt.KernelExecutions()
-	samples := hmpt.SamplePasses()
-	sweeps := hmpt.SweepEvaluations()
+	// zero probe/sweep placement passes — the run's work ledger proves it.
 	res2, err := (&hmpt.CampaignEngine{Cache: cache, Analyses: analyses}).Run(m)
 	if err != nil {
 		log.Fatal(err)
@@ -106,5 +103,5 @@ func main() {
 	fmt.Printf("re-run: %d analyses, %d served whole from the analysis cache\n",
 		len(res2.Cells), res2.AnalysisHits)
 	fmt.Printf("zero-work proof: %d kernel executions, %d sampling passes, %d placement passes\n",
-		hmpt.KernelExecutions()-kernels, hmpt.SamplePasses()-samples, hmpt.SweepEvaluations()-sweeps)
+		res2.Work.Kernels, res2.Work.SamplePasses, res2.Work.SweepEvaluations)
 }

@@ -101,7 +101,9 @@ type (
 	CampaignVariant = campaign.Variant
 	// CampaignCell is one evaluated scenario.
 	CampaignCell = campaign.Cell
-	// CampaignResult is the outcome of a campaign run.
+	// CampaignResult is the outcome of a campaign run; its Work field
+	// counts the kernels, sampling passes, placement passes and
+	// derivations the run did. A warm campaign does none of them.
 	CampaignResult = campaign.Result
 	// CampaignEngine evaluates campaign matrices; configure Cache and
 	// Parallelism directly.
@@ -197,17 +199,6 @@ func ShardJournalSkips() int64 { return shard.JournalSkips() }
 // the retained entry.
 func NewFlightGroup() *FlightGroup { return campaign.NewFlightGroup() }
 
-// CoalescedFlights returns the number of capture/analysis computations
-// served from another caller's in-flight or retained single-flight entry
-// (including equal-key cells of the same run) instead of being executed,
-// process-wide — the serving analogue of the zero-work counters below.
-func CoalescedFlights() int64 { return campaign.CoalescedFlights() }
-
-// RecoveredPanics returns the number of panics recovered inside
-// campaign computations in this process; each failed a single cell (or
-// that flight's callers), never the process.
-func RecoveredPanics() int64 { return campaign.RecoveredPanics() }
-
 // XeonMax9468 returns the single-socket Intel Xeon Max 9468 platform
 // model used by all paper experiments.
 func XeonMax9468() *Platform { return memsim.XeonMax9468() }
@@ -283,39 +274,6 @@ func RunCampaign(m CampaignMatrix) (*CampaignResult, error) {
 func RunCampaignContext(ctx context.Context, m CampaignMatrix) (*CampaignResult, error) {
 	return (&campaign.Engine{}).RunContext(ctx, m)
 }
-
-// KernelExecutions returns the number of real kernel executions the
-// tuning pipeline has performed in this process. A warm campaign — all
-// snapshots served from the cache — performs zero.
-func KernelExecutions() int64 { return core.KernelExecutions() }
-
-// SamplePasses returns the number of IBS sampling passes — report
-// constructions that consume RNG or derive fresh sample counts — the
-// pipeline has performed in this process. Analyses replaying a snapshot
-// reconstruct their sampling report from the embedded counts through an
-// RNG-free validation walk, so a warm campaign performs zero.
-func SamplePasses() int64 { return core.SamplePasses() }
-
-// SweepEvaluations returns the number of probe/sweep placement-costing
-// passes the pipeline has performed in this process — the third rung of
-// the zero-work ladder after KernelExecutions and SamplePasses. A
-// campaign served from the analysis cache performs zero.
-func SweepEvaluations() int64 { return core.SweepEvaluations() }
-
-// DerivedSnapshots returns the number of snapshots the pipeline has
-// synthesized by transposing a cached derivation-family sibling
-// (iteration, scale or seed change) instead of executing the kernel —
-// the fourth pinned counter of the cache ladder. A campaign sweeping N
-// iteration settings of one family workload executes one kernel and
-// derives the other N-1 captures.
-func DerivedSnapshots() int64 { return core.DerivedSnapshots() }
-
-// SeedDerivations returns the number of derived snapshots whose seed
-// was transposed from the base capture's (a workloads.SeedFamily
-// derivation rewriting Meta.Seed/Meta.EnvSeed). An 8-seed sweep of one
-// seed-invariant workload executes one kernel and derives the other 7
-// captures, all of them counted here.
-func SeedDerivations() int64 { return core.SeedDerivations() }
 
 // DeriveSnapshot transposes a captured snapshot to a neighbouring
 // (iterations, scale, seed) key of its derivation family without

@@ -129,12 +129,10 @@ type Result struct {
 	// were actually executed this run, CacheHits how many were served
 	// from a cache (flight group or on-disk store), and Derived how
 	// many were synthesized from a derivation-family sibling without
-	// executing a kernel. Executions + CacheHits + Derived == Snapshots
-	// on a fully successful run.
-	// Coalesced counts captures served from another run's computation
-	// in a shared FlightGroup (see Cell.Coalesced). On a fully
-	// successful run Executions + CacheHits + Derived + Coalesced ==
-	// Snapshots.
+	// executing a kernel, and Coalesced how many were served from
+	// another run's computation in a shared FlightGroup (see
+	// Cell.Coalesced). The four sum to Snapshots on a fully successful
+	// run.
 	Snapshots  int
 	Executions int
 	CacheHits  int
@@ -145,6 +143,9 @@ type Result struct {
 	// provenance class, so it does not enter the Snapshots identity
 	// above.
 	SeedDerived int
+	// Work is the run's ledger: the work done on its behalf, including
+	// inside flights it started (see FlightGroup and RunContext).
+	Work core.Work
 	// AnalysisHits counts cells whose complete analysis was served from
 	// a cache (flight group or disk) — cells that ran zero kernel
 	// executions, zero sampling passes and zero placement costing. A
@@ -268,7 +269,13 @@ func (e *Engine) Run(m Matrix) (*Result, error) {
 // one had already published. Flight computations shared with other
 // concurrent runs are NOT cancelled unless this run was their last
 // interested caller (see FlightGroup).
+//
+// The run counts its work on a child of ctx's ledger (core.WithLedger)
+// and returns the child's counts as Result.Work; every count also
+// reaches ctx's ledger.
 func (e *Engine) RunContext(ctx context.Context, m Matrix) (*Result, error) {
+	led := core.NewLedger(core.LedgerFrom(ctx))
+	ctx = core.WithLedger(ctx, led)
 	flights := e.Flights
 	if flights == nil {
 		// A private group scopes sharing to this run: cells sharing one
@@ -510,6 +517,7 @@ func (e *Engine) RunContext(ctx context.Context, m Matrix) (*Result, error) {
 			res.CacheErrs = append(res.CacheErrs, work[i].aErr)
 		}
 	}
+	res.Work = led.Work()
 	return res, nil
 }
 
@@ -554,13 +562,13 @@ func (e *Engine) probe(flights *FlightGroup, w *cellWork) *core.Analysis {
 }
 
 // safeAnalyze replays one cell's analysis with panic isolation: a
-// poisoned cell fails that cell with an error (counted in
-// RecoveredPanics), never the process. Flight-managed cells get the
+// poisoned cell fails that cell with an error (a core.RecoveredPanic on
+// ctx's ledger), never the process. Flight-managed cells get the
 // identical protection from the flight's own recovery.
 func safeAnalyze(ctx context.Context, rc *core.ReplayContext, opts core.Options) (an *core.Analysis, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			recoveredPanics.Add(1)
+			core.LedgerFrom(ctx).Add(core.RecoveredPanic)
 			an, err = nil, fmt.Errorf("campaign: analysis panicked: %v", r)
 		}
 	}()
@@ -664,7 +672,7 @@ func (e *Engine) deriveCapture(ctx context.Context, c *capture, bases []*trace.S
 		return false
 	}
 	for _, b := range bases {
-		snap, err := core.DeriveSnapshot(b, c.factory(), c.opts)
+		snap, err := core.DeriveSnapshotContext(ctx, b, c.factory(), c.opts)
 		if err != nil {
 			continue // refusal: try the next base, else execute
 		}

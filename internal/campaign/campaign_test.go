@@ -51,8 +51,8 @@ func testMatrix(t *testing.T) Matrix {
 // exactly once, and every replayed cell is byte-identical to a live
 // Tuner.Analyze of the same scenario.
 func TestCampaignExecutesEachKernelOnce(t *testing.T) {
+	t.Parallel()
 	m := testMatrix(t)
-	before := core.KernelExecutions()
 	res, err := (&Engine{}).Run(m)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestCampaignExecutesEachKernelOnce(t *testing.T) {
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if got := core.KernelExecutions() - before; got != int64(len(m.Workloads)) {
+	if got := res.Work.Kernels; got != int64(len(m.Workloads)) {
 		t.Errorf("campaign executed %d kernels, want %d (one per workload)", got, len(m.Workloads))
 	}
 	if res.Snapshots != len(m.Workloads) || res.Executions != len(m.Workloads) || res.CacheHits != 0 {
@@ -92,6 +92,7 @@ func TestCampaignExecutesEachKernelOnce(t *testing.T) {
 // captures across engine runs: the second run executes zero kernels,
 // serves every snapshot from disk, and produces identical results.
 func TestCampaignDiskCache(t *testing.T) {
+	t.Parallel()
 	m := testMatrix(t)
 	cache, err := trace.NewSnapshotCache(t.TempDir())
 	if err != nil {
@@ -108,7 +109,6 @@ func TestCampaignDiskCache(t *testing.T) {
 		t.Errorf("first run: executions=%d hits=%d, want %d/0", first.Executions, first.CacheHits, len(m.Workloads))
 	}
 
-	before := core.KernelExecutions()
 	second, err := (&Engine{Cache: cache}).Run(m)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestCampaignDiskCache(t *testing.T) {
 	if err := second.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if got := core.KernelExecutions() - before; got != 0 {
+	if got := second.Work.Kernels; got != 0 {
 		t.Errorf("cached run executed %d kernels, want 0", got)
 	}
 	if second.Executions != 0 || second.CacheHits != len(m.Workloads) {
@@ -136,12 +136,12 @@ func TestCampaignDiskCache(t *testing.T) {
 // and a warm campaign — snapshots served from the disk cache — performs
 // no sampling at all, on top of executing no kernels.
 func TestCampaignWarmRunsZeroSamplePasses(t *testing.T) {
+	t.Parallel()
 	m := testMatrix(t)
 	cache, err := trace.NewSnapshotCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := core.SamplePasses()
 	first, err := (&Engine{Cache: cache}).Run(m)
 	if err != nil {
 		t.Fatal(err)
@@ -151,12 +151,10 @@ func TestCampaignWarmRunsZeroSamplePasses(t *testing.T) {
 	}
 	// Cold: one count pass per distinct capture, none per cell — the
 	// cells replay the embedded counts even on the first run.
-	if got := core.SamplePasses() - before; got != int64(first.Snapshots) {
+	if got := first.Work.SamplePasses; got != int64(first.Snapshots) {
 		t.Errorf("cold campaign ran %d sampling passes, want %d (one per capture)", got, first.Snapshots)
 	}
 
-	before = core.SamplePasses()
-	beforeKernels := core.KernelExecutions()
 	second, err := (&Engine{Cache: cache}).Run(m)
 	if err != nil {
 		t.Fatal(err)
@@ -164,10 +162,10 @@ func TestCampaignWarmRunsZeroSamplePasses(t *testing.T) {
 	if err := second.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if got := core.SamplePasses() - before; got != 0 {
+	if got := second.Work.SamplePasses; got != 0 {
 		t.Errorf("warm campaign ran %d sampling passes, want 0", got)
 	}
-	if got := core.KernelExecutions() - beforeKernels; got != 0 {
+	if got := second.Work.Kernels; got != 0 {
 		t.Errorf("warm campaign executed %d kernels, want 0", got)
 	}
 	for i := range first.Cells {
@@ -309,6 +307,7 @@ func TestCampaignDeterministicParallelism(t *testing.T) {
 // zero kernels and zero sampling, never resolves a snapshot, and
 // serves byte-identical analyses.
 func TestCampaignWarmRunsZeroPlacementPasses(t *testing.T) {
+	t.Parallel()
 	m := testMatrix(t)
 	snapCache, err := trace.NewSnapshotCache(t.TempDir())
 	if err != nil {
@@ -318,7 +317,6 @@ func TestCampaignWarmRunsZeroPlacementPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := core.SweepEvaluations()
 	first, err := (&Engine{Cache: snapCache, Analyses: anCache}).Run(m)
 	if err != nil {
 		t.Fatal(err)
@@ -328,16 +326,13 @@ func TestCampaignWarmRunsZeroPlacementPasses(t *testing.T) {
 	}
 	// Cold: every cell probes and sweeps exactly once (two passes per
 	// analysis), nothing is served from the analysis cache.
-	if got, want := core.SweepEvaluations()-before, int64(2*len(first.Cells)); got != want {
+	if got, want := first.Work.SweepEvaluations, int64(2*len(first.Cells)); got != want {
 		t.Errorf("cold campaign ran %d placement passes, want %d (probe + sweep per cell)", got, want)
 	}
 	if first.AnalysisHits != 0 {
 		t.Errorf("cold campaign reported %d analysis hits, want 0", first.AnalysisHits)
 	}
 
-	before = core.SweepEvaluations()
-	beforeKernels := core.KernelExecutions()
-	beforeSamples := core.SamplePasses()
 	second, err := (&Engine{Cache: snapCache, Analyses: anCache}).Run(m)
 	if err != nil {
 		t.Fatal(err)
@@ -345,13 +340,13 @@ func TestCampaignWarmRunsZeroPlacementPasses(t *testing.T) {
 	if err := second.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if got := core.SweepEvaluations() - before; got != 0 {
+	if got := second.Work.SweepEvaluations; got != 0 {
 		t.Errorf("warm campaign ran %d placement passes, want 0", got)
 	}
-	if got := core.KernelExecutions() - beforeKernels; got != 0 {
+	if got := second.Work.Kernels; got != 0 {
 		t.Errorf("warm campaign executed %d kernels, want 0", got)
 	}
-	if got := core.SamplePasses() - beforeSamples; got != 0 {
+	if got := second.Work.SamplePasses; got != 0 {
 		t.Errorf("warm campaign ran %d sampling passes, want 0", got)
 	}
 	if second.AnalysisHits != len(second.Cells) {
@@ -379,6 +374,7 @@ func TestCampaignWarmRunsZeroPlacementPasses(t *testing.T) {
 // are invariant to it — share one probe/sweep computation even on a
 // cold run.
 func TestCampaignDedupesEqualAnalysisKeys(t *testing.T) {
+	t.Parallel()
 	m := testMatrix(t)
 	m.Workloads = m.Workloads[:1]
 	m.Platforms = m.Platforms[:1]
@@ -386,7 +382,6 @@ func TestCampaignDedupesEqualAnalysisKeys(t *testing.T) {
 		{Name: "par1", Apply: func(o *core.Options) { o.SweepParallelism = 1 }},
 		{Name: "par4", Apply: func(o *core.Options) { o.SweepParallelism = 4 }},
 	}
-	before := core.SweepEvaluations()
 	res, err := (&Engine{Flights: NewFlightGroup()}).Run(m)
 	if err != nil {
 		t.Fatal(err)
@@ -394,7 +389,7 @@ func TestCampaignDedupesEqualAnalysisKeys(t *testing.T) {
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if got := core.SweepEvaluations() - before; got != 2 {
+	if got := res.Work.SweepEvaluations; got != 2 {
 		t.Errorf("cold campaign ran %d placement passes for 2 equal-key cells, want 2 (one shared probe + sweep)", got)
 	}
 	if res.AnalysisHits != 0 {
@@ -409,7 +404,6 @@ func TestCampaignDedupesEqualAnalysisKeys(t *testing.T) {
 	// over the same group serves every cell from it.
 	m.Workloads[0].Options.GroupBy = func(string) string { return "all" }
 	flights := NewFlightGroup()
-	before = core.SweepEvaluations()
 	cold, err := (&Engine{Flights: flights}).Run(m)
 	if err != nil {
 		t.Fatal(err)
@@ -417,13 +411,12 @@ func TestCampaignDedupesEqualAnalysisKeys(t *testing.T) {
 	if err := cold.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if got := core.SweepEvaluations() - before; got != 2 {
+	if got := cold.Work.SweepEvaluations; got != 2 {
 		t.Errorf("cold GroupBy campaign ran %d placement passes for 2 equal-key cells, want 2", got)
 	}
 	if cold.AnalysisHits != 0 {
 		t.Errorf("cold GroupBy cells reported %d analysis hits, want 0", cold.AnalysisHits)
 	}
-	before = core.SweepEvaluations()
 	warm, err := (&Engine{Flights: flights}).Run(m)
 	if err != nil {
 		t.Fatal(err)
@@ -431,7 +424,7 @@ func TestCampaignDedupesEqualAnalysisKeys(t *testing.T) {
 	if err := warm.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if got := core.SweepEvaluations() - before; got != 0 {
+	if got := warm.Work.SweepEvaluations; got != 0 {
 		t.Errorf("warm GroupBy campaign ran %d placement passes, want 0", got)
 	}
 	if warm.AnalysisHits != len(warm.Cells) {
@@ -646,6 +639,7 @@ func TestCampaignAnalysisCacheStoreFailureIsNonFatal(t *testing.T) {
 // TestCampaignVariants: variants that only change analysis options share
 // one capture; variants that change capture inputs get their own.
 func TestCampaignVariants(t *testing.T) {
+	t.Parallel()
 	m := testMatrix(t)
 	m.Workloads = m.Workloads[:1]
 	m.Platforms = m.Platforms[:1]
@@ -654,7 +648,6 @@ func TestCampaignVariants(t *testing.T) {
 		{Name: "runs5", Apply: func(o *core.Options) { o.Runs = 5 }},
 		{Name: "seed9", Apply: func(o *core.Options) { o.Seed = 9 }},
 	}
-	before := core.KernelExecutions()
 	res, err := (&Engine{}).Run(m)
 	if err != nil {
 		t.Fatal(err)
@@ -663,7 +656,7 @@ func TestCampaignVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	// base and runs5 share a capture; seed9 needs its own.
-	if got := core.KernelExecutions() - before; got != 2 {
+	if got := res.Work.Kernels; got != 2 {
 		t.Errorf("executed %d kernels, want 2 (runs variant shares the capture)", got)
 	}
 	if res.Snapshots != 2 {
@@ -691,6 +684,7 @@ func TestCampaignVariants(t *testing.T) {
 // unique temp name and renamed atomically), and a third, warm engine
 // must serve every cell from the caches with zero kernel executions.
 func TestConcurrentEnginesShareCacheDir(t *testing.T) {
+	t.Parallel()
 	m := testMatrix(t)
 	snapDir := t.TempDir()
 	anDir := t.TempDir()
@@ -756,12 +750,11 @@ func TestConcurrentEnginesShareCacheDir(t *testing.T) {
 		}
 	}
 
-	before := core.KernelExecutions()
 	warm, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := core.KernelExecutions() - before; got != 0 {
+	if got := warm.Work.Kernels; got != 0 {
 		t.Errorf("warm engine executed %d kernels, want 0", got)
 	}
 	if warm.AnalysisHits != len(warm.Cells) {
@@ -781,6 +774,7 @@ func TestConcurrentEnginesShareCacheDir(t *testing.T) {
 // other three captures, each byte-identical to a live analysis of its
 // scenario.
 func TestCampaignDerivesIterationFamily(t *testing.T) {
+	t.Parallel()
 	m := testMatrix(t)
 	m.Workloads = m.Workloads[1:2] // stream: an IterationFamily workload
 	m.Platforms = m.Platforms[:1]
@@ -790,8 +784,6 @@ func TestCampaignDerivesIterationFamily(t *testing.T) {
 		{Name: "i6", Apply: func(o *core.Options) { o.Iterations = 6 }},
 		{Name: "i8", Apply: func(o *core.Options) { o.Iterations = 8 }},
 	}
-	beforeK := core.KernelExecutions()
-	beforeD := core.DerivedSnapshots()
 	res, err := (&Engine{}).Run(m)
 	if err != nil {
 		t.Fatal(err)
@@ -799,10 +791,10 @@ func TestCampaignDerivesIterationFamily(t *testing.T) {
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if got := core.KernelExecutions() - beforeK; got != 1 {
+	if got := res.Work.Kernels; got != 1 {
 		t.Errorf("campaign executed %d kernels, want 1 (one per family)", got)
 	}
-	if got := core.DerivedSnapshots() - beforeD; got != 3 {
+	if got := res.Work.Derived; got != 3 {
 		t.Errorf("campaign derived %d snapshots, want 3", got)
 	}
 	if res.Snapshots != 4 || res.Executions != 1 || res.Derived != 3 || res.CacheHits != 0 {
@@ -841,6 +833,7 @@ func TestCampaignDerivesIterationFamily(t *testing.T) {
 // derived snapshot is published, so a third engine gets a plain cache
 // hit.
 func TestCampaignDerivesFromDiskFamilyIndex(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	matrix := func(iters int) Matrix {
 		m := testMatrix(t)
@@ -871,9 +864,8 @@ func TestCampaignDerivesFromDiskFamilyIndex(t *testing.T) {
 	if res := run(5); res.Executions != 1 {
 		t.Fatalf("seed run: executions=%d, want 1", res.Executions)
 	}
-	before := core.KernelExecutions()
 	res := run(7)
-	if got := core.KernelExecutions() - before; got != 0 {
+	if got := res.Work.Kernels; got != 0 {
 		t.Errorf("family-index run executed %d kernels, want 0", got)
 	}
 	if res.Executions != 0 || res.Derived != 1 || res.CacheHits != 0 {

@@ -32,6 +32,7 @@ func synthFactory(t *testing.T) workloads.Factory {
 // its three seeds really are three distinct kernel executions rather
 // than one capture plus two seed derivations.
 func TestRunContextCancelledMidMatrixStopsColdWork(t *testing.T) {
+	t.Parallel()
 	started := make(chan struct{}, 3)
 	release := make(chan struct{})
 	flights := NewFlightGroup()
@@ -54,11 +55,8 @@ func TestRunContextCancelledMidMatrixStopsColdWork(t *testing.T) {
 		Platforms: []Platform{{Name: "xeonmax", Platform: memsim.XeonMax9468()}},
 	}
 
-	baseKernels := core.KernelExecutions()
-	baseSamples := core.SamplePasses()
-	baseSweeps := core.SweepEvaluations()
-
-	ctx, cancel := context.WithCancel(context.Background())
+	led := core.NewLedger(nil)
+	ctx, cancel := context.WithCancel(core.WithLedger(context.Background(), led))
 	runDone := make(chan struct{})
 	var res *Result
 	var runErr error
@@ -80,9 +78,12 @@ func TestRunContextCancelledMidMatrixStopsColdWork(t *testing.T) {
 	if !errors.Is(runErr, context.Canceled) || res != nil {
 		t.Fatalf("RunContext = (%v, %v), want (nil, context.Canceled)", res, runErr)
 	}
-	cancelledKernels := core.KernelExecutions() - baseKernels
-	cancelledSamples := core.SamplePasses() - baseSamples
-	cancelledSweeps := core.SweepEvaluations() - baseSweeps
+	// The detached flight counted on the cancelled run's ledger, and
+	// it has wound down, so led is final.
+	cancelled := led.Work()
+	cancelledKernels := cancelled.Kernels
+	cancelledSamples := cancelled.SamplePasses
+	cancelledSweeps := cancelled.SweepEvaluations
 	if cancelledKernels > 1 {
 		t.Errorf("cancelled run executed %d kernels, want at most the one in flight", cancelledKernels)
 	}
@@ -93,8 +94,6 @@ func TestRunContextCancelledMidMatrixStopsColdWork(t *testing.T) {
 
 	// An identical retry — same keys, same shared flight group —
 	// completes in full: nothing the cancelled run left behind poisons it.
-	retryBaseKernels := core.KernelExecutions()
-	retryBaseSweeps := core.SweepEvaluations()
 	chaseFactory := func() workloads.Workload {
 		w, err := workloads.New("chase")
 		if err != nil {
@@ -117,8 +116,8 @@ func TestRunContextCancelledMidMatrixStopsColdWork(t *testing.T) {
 	if err := retry.Err(); err != nil {
 		t.Fatalf("retry after cancellation: %v", err)
 	}
-	fullKernels := core.KernelExecutions() - retryBaseKernels
-	fullSweeps := core.SweepEvaluations() - retryBaseSweeps
+	fullKernels := retry.Work.Kernels
+	fullSweeps := retry.Work.SweepEvaluations
 	if retry.Executions != 3 || fullKernels != 3 {
 		t.Errorf("retry executed %d captures / %d kernels, want 3/3 (cancelled run must not have published partial state)",
 			retry.Executions, fullKernels)
@@ -275,16 +274,17 @@ func TestLastCallerCancelAbortsComputation(t *testing.T) {
 // computation is recovered into an error shared by its callers, counted
 // in RecoveredPanics, and forgotten so a retry runs fresh.
 func TestPanickedFlightFailsCallersNotProcess(t *testing.T) {
+	t.Parallel()
 	g := NewFlightGroup()
-	base := RecoveredPanics()
-	_, _, _, err := g.do(context.Background(), "k", func(context.Context) (any, bool, error) {
+	led := core.NewLedger(nil)
+	_, _, _, err := g.do(core.WithLedger(context.Background(), led), "k", func(context.Context) (any, bool, error) {
 		panic("poison")
 	})
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("err = %v, want a recovered-panic error", err)
 	}
-	if got := RecoveredPanics() - base; got != 1 {
-		t.Errorf("RecoveredPanics delta = %d, want 1", got)
+	if got := led.Work().RecoveredPanics; got != 1 {
+		t.Errorf("RecoveredPanics = %d, want 1", got)
 	}
 	if g.Retained() != 0 {
 		t.Errorf("retained = %d, want 0 (panicked flight forgotten)", g.Retained())
@@ -301,7 +301,7 @@ func TestPanickedFlightFailsCallersNotProcess(t *testing.T) {
 // level: one cell whose workload factory panics fails that cell with a
 // recovered-panic error while every other cell analyses normally.
 func TestPoisonedCellFailsCellNotCampaign(t *testing.T) {
-	base := RecoveredPanics()
+	t.Parallel()
 	m := Matrix{
 		Workloads: []Workload{
 			{Name: "synth", Factory: func() workloads.Workload { panic("poisoned factory") }, Options: core.Options{Seed: 31}},
@@ -320,17 +320,18 @@ func TestPoisonedCellFailsCellNotCampaign(t *testing.T) {
 	if healthy.Err != nil || healthy.Analysis == nil {
 		t.Errorf("healthy cell: analysis=%v err=%v, want a result and no error", healthy.Analysis, healthy.Err)
 	}
-	if got := RecoveredPanics() - base; got != 1 {
-		t.Errorf("RecoveredPanics delta = %d, want 1", got)
+	if got := res.Work.RecoveredPanics; got != 1 {
+		t.Errorf("RecoveredPanics = %d, want 1", got)
 	}
 }
 
 // TestRunContextPreCancelled: a dead context fails the run before any
 // stage starts.
 func TestRunContextPreCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
+	t.Parallel()
+	led := core.NewLedger(nil)
+	ctx, cancel := context.WithCancel(core.WithLedger(context.Background(), led))
 	cancel()
-	baseKernels := core.KernelExecutions()
 	m := Matrix{
 		Workloads: []Workload{{Name: "synth", Factory: synthFactory(t), Options: core.Options{Seed: 33}}},
 		Platforms: []Platform{{Name: "xeonmax", Platform: memsim.XeonMax9468()}},
@@ -339,7 +340,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("RunContext = (%v, %v), want (nil, context.Canceled)", res, err)
 	}
-	if got := core.KernelExecutions() - baseKernels; got != 0 {
+	if got := led.Work().Kernels; got != 0 {
 		t.Errorf("pre-cancelled run executed %d kernels", got)
 	}
 }

@@ -5,32 +5,9 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"hmpt/internal/core"
 )
-
-// coalescedFlights counts flight executions that were *not* performed
-// because do found an identical computation already in flight (or
-// already retained) in the sharing FlightGroup. A probe's lookup of a
-// completed entry is a cache hit, not coalescing. It is the serving
-// analogue of the zero-work counters KernelExecutions / SamplePasses /
-// SweepEvaluations / DerivedSnapshots. Tests compare deltas to prove N
-// identical concurrent requests execute at most one capture and one
-// analysis.
-var coalescedFlights atomic.Int64
-
-// CoalescedFlights returns the number of capture/analysis computations
-// served from another caller's in-flight or retained single-flight entry
-// (including equal-key cells of the same run) instead of being executed,
-// process-wide. Tests compare deltas.
-func CoalescedFlights() int64 { return coalescedFlights.Load() }
-
-// recoveredPanics counts panics recovered inside flight computations —
-// a poisoned cell fails its own flight with an error instead of
-// crashing the process. Surfaced through hmptd's /metrics.
-var recoveredPanics atomic.Int64
-
-// RecoveredPanics returns the number of panics recovered inside flight
-// computations, process-wide. Tests compare deltas.
-func RecoveredPanics() int64 { return recoveredPanics.Load() }
 
 // FlightGroup is a single-flight layer over the campaign engine's two
 // expensive computations: resolving a capture (kernel execution or
@@ -61,9 +38,16 @@ func RecoveredPanics() int64 { return recoveredPanics.Load() }
 // cooperatively; the flight is then forgotten so later callers retry
 // fresh.
 //
+// Work accounting: a flight's context carries the ledger of the caller
+// that started it (core.LedgerFrom), so the computation's work is
+// counted on that caller's ledger — and on its ancestors — even when
+// the caller detached and a waiter saw the flight through. Every caller
+// served from another caller's flight, in flight or retained, counts
+// one core.Coalesced on its own ledger instead.
+//
 // Panics inside a flight's computation are recovered into an error
-// (counted in RecoveredPanics): a poisoned computation fails its
-// callers, not the process.
+// (a core.RecoveredPanic on the flight's ledger): a poisoned
+// computation fails its callers, not the process.
 //
 // Successful entries are retained for the life of the group: there is
 // no byte budget and no eviction, so a long-lived group grows with the
@@ -105,11 +89,12 @@ func NewFlightGroup() *FlightGroup {
 
 // do runs fn once per key: the first caller starts the computation in
 // its own goroutine, everyone else is served from the in-flight or
-// retained entry (shared=true, counted in CoalescedFlights). fn
-// receives the *flight's* context — alive while any caller remains
-// interested — not any single caller's. flag carries a small
-// per-entry fact the callers share: true for entries add retained (the
-// value was served from a cache), and whatever fn returned otherwise.
+// retained entry (shared=true, a core.Coalesced on the caller's
+// ledger). fn receives the *flight's* context — alive while any caller
+// remains interested, and carrying the first caller's ledger — not any
+// single caller's. flag carries a small per-entry fact the callers
+// share: true for entries add retained (the value was served from a
+// cache), and whatever fn returned otherwise.
 //
 // When ctx dies before the result is ready the caller detaches with
 // ctx.Err(); see the FlightGroup doc for the detach/handoff/abort
@@ -127,7 +112,7 @@ func (g *FlightGroup) do(ctx context.Context, key string, fn func(context.Contex
 		case <-f.done:
 			// Retained entry: serve immediately.
 			g.mu.Unlock()
-			coalescedFlights.Add(1)
+			core.LedgerFrom(ctx).Add(core.Coalesced)
 			return f.val, f.flag, true, f.err
 		default:
 		}
@@ -135,7 +120,7 @@ func (g *FlightGroup) do(ctx context.Context, key string, fn func(context.Contex
 		g.mu.Unlock()
 		return g.wait(ctx, f, true)
 	}
-	fctx, cancel := context.WithCancel(context.Background())
+	fctx, cancel := context.WithCancel(core.WithLedger(context.Background(), core.LedgerFrom(ctx)))
 	f := &flight{done: make(chan struct{}), cancel: cancel, refs: 1}
 	g.flights[key] = f
 	g.inFlight.Add(1)
@@ -151,7 +136,7 @@ func (g *FlightGroup) do(ctx context.Context, key string, fn func(context.Contex
 func (g *FlightGroup) run(key string, f *flight, fctx context.Context, fn func(context.Context) (any, bool, error)) {
 	defer func() {
 		if r := recover(); r != nil {
-			recoveredPanics.Add(1)
+			core.LedgerFrom(fctx).Add(core.RecoveredPanic)
 			f.val, f.flag = nil, false
 			f.err = fmt.Errorf("campaign: computation %q panicked: %v", key, r)
 		}
@@ -173,8 +158,8 @@ func (g *FlightGroup) run(key string, f *flight, fctx context.Context, fn func(c
 
 // wait blocks until the flight completes or the caller's context dies,
 // whichever comes first. joined marks a caller served by someone else's
-// flight (counted as a waiter while blocked and in CoalescedFlights on
-// success).
+// flight (counted as a waiter while blocked, and as a core.Coalesced on
+// its ledger on success).
 func (g *FlightGroup) wait(ctx context.Context, f *flight, joined bool) (any, bool, bool, error) {
 	if joined {
 		g.waiters.Add(1)
@@ -183,7 +168,7 @@ func (g *FlightGroup) wait(ctx context.Context, f *flight, joined bool) (any, bo
 	select {
 	case <-f.done:
 		if joined {
-			coalescedFlights.Add(1)
+			core.LedgerFrom(ctx).Add(core.Coalesced)
 		}
 		return f.val, f.flag, joined, f.err
 	case <-ctx.Done():

@@ -83,9 +83,11 @@ func TestLookupMissesFailedEntry(t *testing.T) {
 }
 
 func TestFlightGroupSharesConcurrently(t *testing.T) {
+	t.Parallel()
 	g := NewFlightGroup()
 	const k = 8
-	base := CoalescedFlights()
+	led := core.NewLedger(nil)
+	ctx := core.WithLedger(context.Background(), led)
 	release := make(chan struct{})
 	entered := make(chan struct{})
 	results := make([]int, k)
@@ -95,7 +97,7 @@ func TestFlightGroupSharesConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			val, _, _, err := g.do(context.Background(), "k", func(context.Context) (any, bool, error) {
+			val, _, _, err := g.do(ctx, "k", func(context.Context) (any, bool, error) {
 				close(entered)
 				<-release
 				return 99, false, nil
@@ -119,8 +121,8 @@ func TestFlightGroupSharesConcurrently(t *testing.T) {
 			t.Errorf("caller %d got %d, want 99", i, v)
 		}
 	}
-	if got := CoalescedFlights() - base; got != k-1 {
-		t.Errorf("CoalescedFlights delta = %d, want %d", got, k-1)
+	if got := led.Work().Coalesced; got != k-1 {
+		t.Errorf("Coalesced = %d, want %d", got, k-1)
 	}
 }
 
@@ -161,6 +163,7 @@ func (g *gatedWorkload) Run(e *workloads.Env) error {
 // and one probe+sweep, and the coalescing counter pins the other K-1
 // capture adoptions and K-1 analysis adoptions.
 func TestConcurrentRunsCoalesceToOneExecution(t *testing.T) {
+	t.Parallel()
 	const k = 4
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
@@ -181,10 +184,9 @@ func TestConcurrentRunsCoalesceToOneExecution(t *testing.T) {
 		Platforms: []Platform{{Name: "xeonmax", Platform: memsim.XeonMax9468()}},
 	}
 
-	baseCoalesced := CoalescedFlights()
-	baseKernels := core.KernelExecutions()
-	baseSamples := core.SamplePasses()
-	baseSweeps := core.SweepEvaluations()
+	// Every run's ledger is a child of led, so led sums all k runs.
+	led := core.NewLedger(nil)
+	ctx := core.WithLedger(context.Background(), led)
 
 	results := make([]*Result, k)
 	errs := make([]error, k)
@@ -195,7 +197,7 @@ func TestConcurrentRunsCoalesceToOneExecution(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			eng := &Engine{Flights: flights}
-			results[i], errs[i] = eng.Run(m)
+			results[i], errs[i] = eng.RunContext(ctx, m)
 		}()
 	}
 
@@ -223,18 +225,19 @@ func TestConcurrentRunsCoalesceToOneExecution(t *testing.T) {
 	if execs != 1 || coals != k-1 {
 		t.Errorf("executions=%d coalesced=%d across runs, want 1/%d", execs, coals, k-1)
 	}
-	if got := core.KernelExecutions() - baseKernels; got != 1 {
-		t.Errorf("kernel executions delta = %d, want 1", got)
+	work := led.Work()
+	if got := work.Kernels; got != 1 {
+		t.Errorf("kernel executions = %d, want 1", got)
 	}
-	if got := core.SamplePasses() - baseSamples; got != 1 {
-		t.Errorf("sample passes delta = %d, want 1", got)
+	if got := work.SamplePasses; got != 1 {
+		t.Errorf("sample passes = %d, want 1", got)
 	}
-	if got := core.SweepEvaluations() - baseSweeps; got != 2 {
-		t.Errorf("sweep evaluations delta = %d, want 2 (one probe + one sweep)", got)
+	if got := work.SweepEvaluations; got != 2 {
+		t.Errorf("sweep evaluations = %d, want 2 (one probe + one sweep)", got)
 	}
 	// k-1 runs adopted the capture, and k-1 runs adopted the analysis.
-	if got := CoalescedFlights() - baseCoalesced; got != 2*(k-1) {
-		t.Errorf("CoalescedFlights delta = %d, want %d", got, 2*(k-1))
+	if got := work.Coalesced; got != 2*(k-1) {
+		t.Errorf("Coalesced = %d, want %d", got, 2*(k-1))
 	}
 }
 
@@ -244,6 +247,7 @@ func TestConcurrentRunsCoalesceToOneExecution(t *testing.T) {
 // because the entry predates the run — reports it as a cache hit, not as
 // a coalesced flight.
 func TestSharedFlightsRetainAcrossSequentialRuns(t *testing.T) {
+	t.Parallel()
 	flights := NewFlightGroup()
 	m := Matrix{
 		Workloads: []Workload{{
@@ -274,9 +278,6 @@ func TestSharedFlightsRetainAcrossSequentialRuns(t *testing.T) {
 	if first.Executions != 1 {
 		t.Fatalf("cold run executed %d captures, want 1", first.Executions)
 	}
-	baseKernels := core.KernelExecutions()
-	baseSweeps := core.SweepEvaluations()
-	baseCoalesced := CoalescedFlights()
 	warm := run()
 	if warm.AnalysisHits != 1 || warm.Snapshots != 0 || warm.Coalesced != 0 {
 		t.Errorf("warm run: analysis hits=%d snapshots=%d coalesced=%d, want 1/0/0",
@@ -286,13 +287,13 @@ func TestSharedFlightsRetainAcrossSequentialRuns(t *testing.T) {
 		t.Errorf("warm cell: analysis-from-cache=%v coalesced=%v, want true/false",
 			warm.Cells[0].AnalysisFromCache, warm.Cells[0].Coalesced)
 	}
-	if got := CoalescedFlights() - baseCoalesced; got != 0 {
-		t.Errorf("CoalescedFlights delta = %d, want 0 (an earlier run's entry is a cache hit)", got)
+	if got := warm.Work.Coalesced; got != 0 {
+		t.Errorf("Coalesced = %d, want 0 (an earlier run's entry is a cache hit)", got)
 	}
-	if got := core.KernelExecutions() - baseKernels; got != 0 {
+	if got := warm.Work.Kernels; got != 0 {
 		t.Errorf("warm run executed %d kernels, want 0", got)
 	}
-	if got := core.SweepEvaluations() - baseSweeps; got != 0 {
+	if got := warm.Work.SweepEvaluations; got != 0 {
 		t.Errorf("warm run ran %d placement passes, want 0", got)
 	}
 	if !reflect.DeepEqual(first.Cells[0].Analysis, warm.Cells[0].Analysis) {

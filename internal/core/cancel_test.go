@@ -12,31 +12,31 @@ import (
 // TestAnalyzeContextPreCancelled: a dead context stops the pipeline
 // before any work — no kernel execution, no sampling pass, no sweep.
 func TestAnalyzeContextPreCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
+	led := NewLedger(nil)
+	ctx, cancel := context.WithCancel(WithLedger(context.Background(), led))
 	cancel()
-	kernels, passes, sweeps := KernelExecutions(), SamplePasses(), SweepEvaluations()
 	an, err := New(synth.Default(), Options{Seed: 42}).AnalyzeContext(ctx)
 	if !errors.Is(err, context.Canceled) || an != nil {
 		t.Fatalf("AnalyzeContext = (%v, %v), want (nil, context.Canceled)", an, err)
 	}
-	if KernelExecutions() != kernels || SamplePasses() != passes || SweepEvaluations() != sweeps {
+	if w := led.Work(); w.Kernels != 0 || w.SamplePasses != 0 || w.SweepEvaluations != 0 {
 		t.Errorf("cancelled analysis still did work: kernels %+d, passes %+d, sweeps %+d",
-			KernelExecutions()-kernels, SamplePasses()-passes, SweepEvaluations()-sweeps)
+			w.Kernels, w.SamplePasses, w.SweepEvaluations)
 	}
 }
 
 // TestCaptureContextPreCancelled: a dead context skips the capture
 // entirely — the kernel never runs.
 func TestCaptureContextPreCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
+	led := NewLedger(nil)
+	ctx, cancel := context.WithCancel(WithLedger(context.Background(), led))
 	cancel()
-	kernels := KernelExecutions()
 	snap, err := CaptureContext(ctx, synth.Default(), Options{Seed: 42})
 	if !errors.Is(err, context.Canceled) || snap != nil {
 		t.Fatalf("CaptureContext = (%v, %v), want (nil, context.Canceled)", snap, err)
 	}
-	if got := KernelExecutions(); got != kernels {
-		t.Errorf("cancelled capture executed %d kernels", got-kernels)
+	if got := led.Work().Kernels; got != 0 {
+		t.Errorf("cancelled capture executed %d kernels", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -35,8 +36,11 @@ type ReplayContext struct {
 	al   *shim.Allocator
 	tr   *trace.Trace
 
+	countsOnce sync.Once
+	counts     *ibs.CountTable // validated once, shared by every platform
+	countsErr  error
+
 	mu      sync.Mutex
-	counts  *ibs.CountTable                    // validated once, shared by every platform
 	reports map[string]*ibs.Report             // platform fingerprint -> shared report
 	evals   map[evalKey]*memsim.SweepEvaluator // pristine compiled evaluators
 }
@@ -84,30 +88,16 @@ func (c *ReplayContext) Sites() []shim.SiteGroup { return c.al.Sites() }
 
 // countTable returns the capture's validated count table — the
 // platform-independent half of report reconstruction — building it on
-// first use and sharing it across every platform of the capture:
-// ibs.CountWalks therefore advances once per context no matter how many
-// platforms replay it (pinned by the context tests).
-func (c *ReplayContext) countTable() (*ibs.CountTable, error) {
-	c.mu.Lock()
-	t := c.counts
-	c.mu.Unlock()
-	if t != nil {
-		return t, nil
-	}
-	// Validate outside the lock; concurrent losers discard their
-	// (identical) table in favour of the first published one.
-	t, err := ibs.ValidateCounts(c.snap.Samples, c.tr, c.al)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if c.counts != nil {
-		t = c.counts
-	} else {
-		c.counts = t
-	}
-	c.mu.Unlock()
-	return t, nil
+// first use and sharing it across every platform of the capture. The
+// walk runs once per context and is counted on the ledger of the
+// caller that ran it, so a context runs one CountWalk no matter how
+// many platforms replay it (pinned by the context tests).
+func (c *ReplayContext) countTable(ctx context.Context) (*ibs.CountTable, error) {
+	c.countsOnce.Do(func() {
+		LedgerFrom(ctx).Add(CountWalk)
+		c.counts, c.countsErr = ibs.ValidateCounts(c.snap.Samples, c.tr, c.al)
+	})
+	return c.counts, c.countsErr
 }
 
 // report returns the sampling report of the capture's embedded counts
@@ -116,14 +106,14 @@ func (c *ReplayContext) countTable() (*ibs.CountTable, error) {
 // a pure function of (counts, trace, registry, platform), so every cell
 // of one platform shares one report — and all platforms share the one
 // validated count table, re-deriving only the latency half.
-func (c *ReplayContext) report(fp string, m *memsim.Machine, allDDR memsim.Placement) (*ibs.Report, error) {
+func (c *ReplayContext) report(ctx context.Context, fp string, m *memsim.Machine, allDDR memsim.Placement) (*ibs.Report, error) {
 	c.mu.Lock()
 	r, ok := c.reports[fp]
 	c.mu.Unlock()
 	if ok {
 		return r, nil
 	}
-	table, err := c.countTable()
+	table, err := c.countTable(ctx)
 	if err != nil {
 		return nil, err
 	}

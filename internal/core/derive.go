@@ -1,8 +1,8 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"sync/atomic"
 
 	"hmpt/internal/ibs"
 	"hmpt/internal/shim"
@@ -10,28 +10,6 @@ import (
 	"hmpt/internal/workloads"
 	"hmpt/internal/xrand"
 )
-
-// derivedSnaps counts snapshots synthesized by transposing a family
-// neighbour instead of executing the kernel — the fourth pinned
-// counter of the cache ladder, next to KernelExecutions, SamplePasses
-// and SweepEvaluations. Campaign tests use deltas to prove an
-// iteration sweep executes O(families) kernels, not O(cells).
-var derivedSnaps atomic.Int64
-
-// seedDerivations counts the subset of derivations that transposed the
-// snapshot across seeds (rewriting Meta.Seed/Meta.EnvSeed under a
-// workloads.SeedFamily declaration). Campaign tests pin it alongside
-// DerivedSnapshots to prove a seed sweep executes one kernel per
-// family, not one per seed.
-var seedDerivations atomic.Int64
-
-// DerivedSnapshots returns the number of snapshots the pipeline has
-// derived (rather than captured) in this process. Tests compare deltas.
-func DerivedSnapshots() int64 { return derivedSnaps.Load() }
-
-// SeedDerivations returns the number of derived snapshots whose seed
-// was transposed from the base capture's. Tests compare deltas.
-func SeedDerivations() int64 { return seedDerivations.Load() }
 
 // DeriveSnapshot transposes base — a capture from the same derivation
 // family — into the snapshot the options describe, without executing
@@ -52,13 +30,20 @@ func SeedDerivations() int64 { return seedDerivations.Load() }
 // options (the derivation equivalence tests pin this for every family
 // workload): the trace rewrite is validated slot-by-slot against the
 // base, and the embedded sample counts are recomputed through the same
-// deterministic counting pass Capture runs — which is also why an
-// iteration or seed derivation still tallies one SamplePasses tick.
-// Any mismatch between the declared schedule and the base capture is a
-// refusal (an error), never a silently divergent snapshot; callers
-// fall back to executing the kernel.
+// deterministic counting pass Capture runs. Any mismatch between the
+// declared schedule and the base capture is a refusal (an error), never
+// a silently divergent snapshot; callers fall back to executing the
+// kernel.
 func DeriveSnapshot(base *trace.Snapshot, w workloads.Workload, opts Options) (*trace.Snapshot, error) {
+	return DeriveSnapshotContext(context.Background(), base, w, opts)
+}
+
+// DeriveSnapshotContext is DeriveSnapshot counting its work on ctx's
+// ledger: one Derivation (plus a SeedDerivation across seeds), and one
+// SamplePass when an iteration or seed change re-runs the count pass.
+func DeriveSnapshotContext(ctx context.Context, base *trace.Snapshot, w workloads.Workload, opts Options) (*trace.Snapshot, error) {
 	o := opts.withDefaults()
+	led := LedgerFrom(ctx)
 	if base == nil || base.Trace == nil || base.Registry == nil {
 		return nil, fmt.Errorf("core: derive from incomplete snapshot")
 	}
@@ -139,7 +124,7 @@ func DeriveSnapshot(base *trace.Snapshot, w workloads.Workload, opts Options) (*
 		if err != nil {
 			return nil, fmt.Errorf("core: restoring %q registry for derivation: %w", m.Workload, err)
 		}
-		samplePasses.Add(1)
+		led.Add(SamplePass)
 		samples, err = o.sampler().Counts(tr, al)
 		if err != nil {
 			return nil, fmt.Errorf("core: counting samples for derived %q: %w", m.Workload, err)
@@ -152,9 +137,9 @@ func DeriveSnapshot(base *trace.Snapshot, w workloads.Workload, opts Options) (*
 	if m.Seed != o.Seed {
 		meta.Seed = o.Seed
 		meta.EnvSeed = xrand.New(o.Seed).Split(1).Uint64()
-		seedDerivations.Add(1)
+		led.Add(SeedDerivation)
 	}
-	derivedSnaps.Add(1)
+	led.Add(Derivation)
 	return &trace.Snapshot{
 		Meta:     meta,
 		Registry: base.Registry,

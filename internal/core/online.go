@@ -127,7 +127,6 @@ func TuneOnline(w workloads.Workload, o OnlineOptions) (*OnlineResult, error) {
 	var hbmUsed units.Bytes
 
 	for epoch := 0; epoch < o.Epochs; epoch++ {
-		samplePasses.Add(1)
 		rep, err := sampler.Sample(tr, env.Alloc, machine, space, rng.Split(uint64(10+epoch)))
 		if err != nil {
 			return nil, err

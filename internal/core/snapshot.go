@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"hmpt/internal/ibs"
 	"hmpt/internal/shim"
@@ -11,41 +10,6 @@ import (
 	"hmpt/internal/workloads"
 	"hmpt/internal/xrand"
 )
-
-// kernelExecs counts real kernel executions performed on behalf of the
-// tuning pipeline (live analyses and Captures). Campaign tests use it to
-// prove each kernel ran at most once per matrix.
-var kernelExecs atomic.Int64
-
-// KernelExecutions returns the number of real kernel executions the
-// pipeline has performed in this process. Tests compare deltas.
-func KernelExecutions() int64 { return kernelExecs.Load() }
-
-// samplePasses counts sampling passes performed on behalf of the
-// pipeline: report constructions that consume RNG or derive fresh
-// counts — batched-engine passes, reference-loop passes, and the count
-// pass a Capture embeds. Replaying embedded counts (an RNG-free
-// validation walk against already-derived counts) is not a pass.
-// Campaign tests use deltas to prove warm campaigns derive no sampling
-// data at all.
-var samplePasses atomic.Int64
-
-// SamplePasses returns the number of sampling passes the pipeline has
-// performed in this process. Tests compare deltas.
-func SamplePasses() int64 { return samplePasses.Load() }
-
-// sweepEvals counts placement-costing passes: probe stages (solo-impact
-// measurement of every pre-group) and configuration sweeps (the 2^|AG|
-// mask walk), on both the compiled-engine and naive-oracle paths. An
-// analysis served from the analysis cache runs neither, so campaign
-// tests pin the delta to zero on warm runs — the placement analogue of
-// KernelExecutions and SamplePasses.
-var sweepEvals atomic.Int64
-
-// SweepEvaluations returns the number of probe/sweep placement-costing
-// passes the pipeline has performed in this process. Tests compare
-// deltas.
-func SweepEvaluations() int64 { return sweepEvals.Load() }
 
 // Capture executes the workload's kernel once — exactly as the reference
 // stage of Analyze would — and returns the run as a snapshot: the phase
@@ -73,7 +37,7 @@ func CaptureContext(ctx context.Context, w workloads.Workload, opts Options) (*t
 		return nil, err
 	}
 	envSeed := xrand.New(o.Seed).Split(1).Uint64()
-	env, tr, err := executeReference(w, o.Threads, o.Scale, o.Iterations, envSeed)
+	env, tr, err := executeReference(ctx, w, o.Threads, o.Scale, o.Iterations, envSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +46,7 @@ func CaptureContext(ctx context.Context, w workloads.Workload, opts Options) (*t
 	}
 	// Embed the sampling counts so replays skip the sampling pass: the
 	// count pass is the one sampling walk this capture pays for.
-	samplePasses.Add(1)
+	LedgerFrom(ctx).Add(SamplePass)
 	counts, err := o.sampler().Counts(tr, env.Alloc)
 	if err != nil {
 		return nil, fmt.Errorf("core: counting samples for %s: %w", w.Name(), err)
@@ -169,8 +133,9 @@ func NewContextReplay(ctx *ReplayContext, opts Options) *Tuner {
 // trace enters any downstream stage or snapshot, so live analyses,
 // captures and replays all consume the identical compact trace and the
 // whole pipeline is O(unique phases) in the kernel's iteration count.
-func executeReference(w workloads.Workload, threads int, scale float64, iters int, envSeed uint64) (*workloads.Env, *trace.Trace, error) {
-	kernelExecs.Add(1)
+// The execution is counted on ctx's ledger.
+func executeReference(ctx context.Context, w workloads.Workload, threads int, scale float64, iters int, envSeed uint64) (*workloads.Env, *trace.Trace, error) {
+	LedgerFrom(ctx).Add(Kernel)
 	env := workloads.NewEnv(threads, scale, envSeed)
 	env.Iterations = iters
 	if err := w.Setup(env); err != nil {
@@ -191,13 +156,13 @@ func executeReference(w workloads.Workload, threads int, scale float64, iters in
 // the workload environment; a snapshot whose recorded seed disagrees was
 // captured under different options and is rejected rather than silently
 // producing a divergent analysis.
-func (t *Tuner) reference(envSeed uint64) (*shim.Allocator, *trace.Trace, error) {
+func (t *Tuner) reference(ctx context.Context, envSeed uint64) (*shim.Allocator, *trace.Trace, error) {
 	snap := t.opts.Snapshot
 	if snap == nil {
 		if t.w == nil {
 			return nil, nil, fmt.Errorf("core: tuner for %s has neither workload nor snapshot", t.name)
 		}
-		env, tr, err := executeReference(t.w, t.opts.Threads, t.opts.Scale, t.opts.Iterations, envSeed)
+		env, tr, err := executeReference(ctx, t.w, t.opts.Threads, t.opts.Scale, t.opts.Iterations, envSeed)
 		if err != nil {
 			return nil, nil, err
 		}

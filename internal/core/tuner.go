@@ -274,7 +274,7 @@ func (t *Tuner) analyze(ctx context.Context, engine bool) (*Analysis, error) {
 		return nil, err
 	}
 	envSeed := rng.Split(1).Uint64()
-	al, tr, err := t.reference(envSeed)
+	al, tr, err := t.reference(ctx, envSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +307,7 @@ func (t *Tuner) analyze(ctx context.Context, engine bool) (*Analysis, error) {
 		return nil, err
 	}
 	smpRNG := rng.Split(3)
-	rep, err := t.sampleReport(tr, al, machine, allDDR, smpRNG, engine)
+	rep, err := t.sampleReport(ctx, tr, al, machine, allDDR, smpRNG, engine)
 	if err != nil {
 		return nil, fmt.Errorf("core: sampling: %w", err)
 	}
@@ -343,7 +343,7 @@ func (t *Tuner) analyze(ctx context.Context, engine bool) (*Analysis, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sweepEvals.Add(1)
+	LedgerFrom(ctx).Add(SweepEvaluation)
 	if !engine {
 		for mask := uint32(0); mask < 1<<uint(k); mask++ {
 			if err := ctx.Err(); err != nil {
@@ -373,8 +373,9 @@ func (t *Tuner) analyze(ctx context.Context, engine bool) (*Analysis, error) {
 // under the all-DDR reference placement — the walk is what pins the
 // embedding to this trace and re-derives latencies on the replaying
 // machine). Otherwise a sampling pass runs: the batched engine on the
-// engine path, the per-sample reference loop on the oracle path.
-func (t *Tuner) sampleReport(tr *trace.Trace, al *shim.Allocator, machine *memsim.Machine,
+// engine path, the per-sample reference loop on the oracle path. Count
+// walks and sampling passes are counted on ctx's ledger.
+func (t *Tuner) sampleReport(ctx context.Context, tr *trace.Trace, al *shim.Allocator, machine *memsim.Machine,
 	allDDR memsim.Placement, rng *xrand.Rand, engine bool) (*ibs.Report, error) {
 
 	if snap := t.opts.Snapshot; snap != nil && snap.Samples != nil &&
@@ -382,11 +383,12 @@ func (t *Tuner) sampleReport(tr *trace.Trace, al *shim.Allocator, machine *memsi
 		if t.ctx != nil {
 			// Shared context: the reconstruction is memoised per
 			// platform, so cells of one platform share one report.
-			return t.ctx.report(t.platformFP, machine, allDDR)
+			return t.ctx.report(ctx, t.platformFP, machine, allDDR)
 		}
+		LedgerFrom(ctx).Add(CountWalk)
 		return ibs.ReportFromCounts(snap.Samples, tr, al, machine, allDDR)
 	}
-	samplePasses.Add(1)
+	LedgerFrom(ctx).Add(SamplePass)
 	sampler := t.opts.sampler()
 	if engine {
 		return sampler.Sample(tr, al, machine, allDDR, rng)
@@ -593,7 +595,7 @@ func (t *Tuner) buildGroups(ctx context.Context, m *memsim.Machine, tr *trace.Tr
 	rep *ibs.Report, baseMean float64, ddr, hbm memsim.PoolID, rng *xrand.Rand, engine bool) ([]Group, int, int, error) {
 
 	o := t.opts
-	sweepEvals.Add(1) // the probe stage is one placement-costing pass
+	LedgerFrom(ctx).Add(SweepEvaluation) // the probe stage is one placement-costing pass
 	sites := al.Sites()
 	totalSites := len(sites)
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -444,12 +445,12 @@ func TestSamplerControlsThreadThroughAnalysis(t *testing.T) {
 	if snap.Meta.SamplePeriod != 1<<22 {
 		t.Errorf("capture recorded period %d, want %d", snap.Meta.SamplePeriod, 1<<22)
 	}
-	before := SamplePasses()
-	replay, err := NewReplay(snap, opts).Analyze()
+	led := NewLedger(nil)
+	replay, err := NewReplay(snap, opts).AnalyzeContext(WithLedger(context.Background(), led))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := SamplePasses() - before; got != 0 {
+	if got := led.Work().SamplePasses; got != 0 {
 		t.Errorf("replay ran %d sampling passes, want 0 (embedded counts)", got)
 	}
 	if !reflect.DeepEqual(coarse, replay) {
@@ -478,12 +479,12 @@ func TestReplayWithoutEmbeddedCountsSamplesLive(t *testing.T) {
 	snap.Samples = nil
 	snap.Meta.SamplePeriod = 0 // the natural hand-built state
 	snap.Meta.SampleBudget = 0
-	before := SamplePasses()
-	replay, err := NewReplay(snap, Options{}).Analyze()
+	led := NewLedger(nil)
+	replay, err := NewReplay(snap, Options{}).AnalyzeContext(WithLedger(context.Background(), led))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := SamplePasses() - before; got != 1 {
+	if got := led.Work().SamplePasses; got != 1 {
 		t.Errorf("count-free replay ran %d sampling passes, want 1 (live fallback)", got)
 	}
 	if !reflect.DeepEqual(live, replay) {

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"hmpt/internal/memsim"
 	"hmpt/internal/shim"
@@ -319,18 +318,6 @@ func (s *Sampler) Counts(tr *trace.Trace, al *shim.Allocator) (*trace.SampleCoun
 	return c, nil
 }
 
-// countWalks counts platform-independent count-validation walks — the
-// half of a count replay that derives and validates per-allocation
-// sample counts against embedded counts. core.ReplayContext shares one
-// validated CountTable across every platform of a capture, so its
-// context tests pin this counter to one walk per capture regardless of
-// how many platforms reconstruct reports from it.
-var countWalks atomic.Int64
-
-// CountWalks returns the number of count-validation walks performed in
-// this process. Tests compare deltas.
-func CountWalks() int64 { return countWalks.Load() }
-
 // CountTable is the validated, platform-independent half of a count
 // replay: the per-allocation sample and read counts of one (counts,
 // trace, registry) triple, checked against the embedded counts once.
@@ -361,7 +348,6 @@ func ValidateCounts(c *trace.SampleCounts, tr *trace.Trace, al *shim.Allocator) 
 	if c.Period <= 0 {
 		return nil, fmt.Errorf("ibs: sample counts carry period %d", c.Period)
 	}
-	countWalks.Add(1)
 	t := &CountTable{counts: c, tr: tr, al: al, byAlloc: make([]sampleAgg, maxAllocID(al)+1)}
 	t.total, t.unmapped = accumulate(tr, al, c.Period, t.byAlloc, nil)
 	if int64(t.total) != c.Total || int64(t.unmapped) != c.Unmapped {

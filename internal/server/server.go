@@ -8,8 +8,7 @@
 // served from memory with zero kernels, zero sampling passes, zero
 // placement passes and zero derived snapshots.
 //
-// The API is deliberately small (ROADMAP item 1 keeps gRPC and
-// streaming for later):
+// The API is deliberately small:
 //
 //	POST /v1/analyze    one workload × platform analysis
 //	POST /v1/campaign   a full matrix (workloads × platforms × seeds)
@@ -81,9 +80,12 @@ type Config struct {
 
 // Server serves tuning analyses over HTTP from shared warm caches.
 type Server struct {
-	cfg      Config
-	log      *log.Logger
-	flights  *campaign.FlightGroup
+	cfg     Config
+	log     *log.Logger
+	flights *campaign.FlightGroup
+	// work is the root ledger: every request's run counts its work on
+	// a child of it, so it holds the totals /metrics exposes.
+	work     *core.Ledger
 	cache    *trace.SnapshotCache
 	analyses *core.AnalysisCache
 	met      *serverMetrics
@@ -101,6 +103,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		log:     cfg.Log,
 		flights: campaign.NewFlightGroup(),
+		work:    core.NewLedger(nil),
 	}
 	if s.log == nil {
 		s.log = log.Default()
@@ -135,6 +138,11 @@ func New(cfg Config) (*Server, error) {
 	s.met = newMetrics(s)
 	return s, nil
 }
+
+// Work returns the work counted on the server's ledger: everything the
+// runs of all its requests did, including flights a cancelled request
+// left running for others.
+func (s *Server) Work() core.Work { return s.work.Work() }
 
 // engine returns a campaign engine for one request, backed by the
 // server's shared caches and flight group.
@@ -293,16 +301,17 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 // requestContext derives one request's run context: the http.Request
 // context (cancelled when the client disconnects) bounded by the
 // request's own timeout_ms when set, else the server-wide
-// RequestTimeout when configured.
+// RequestTimeout when configured. It carries the server's ledger.
 func (s *Server) requestContext(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
+	ctx := core.WithLedger(r.Context(), s.work)
 	timeout := s.cfg.RequestTimeout
 	if timeoutMs > 0 {
 		timeout = time.Duration(timeoutMs) * time.Millisecond
 	}
 	if timeout > 0 {
-		return context.WithTimeout(r.Context(), timeout)
+		return context.WithTimeout(ctx, timeout)
 	}
-	return context.WithCancel(r.Context())
+	return context.WithCancel(ctx)
 }
 
 // writeRunError maps a failed run to its structured response:
@@ -324,19 +333,31 @@ func (s *Server) writeRunError(w http.ResponseWriter, err error) {
 	}
 }
 
-// runMatrix executes one campaign run under the concurrency cap,
-// timing the run stage. ctx cancellation propagates through the engine
-// down to the parallel workers and the core pipeline (see
-// campaign.RunContext).
-func (s *Server) runMatrix(ctx context.Context, m campaign.Matrix) (*campaign.Result, error) {
+// run executes one request's matrix under the concurrency cap, timing
+// the run stage, and folds the result into the outcome counters. It
+// answers a refused request or a failed run itself and returns nil.
+// Cancellation propagates down to the core pipeline (see RunContext).
+func (s *Server) run(w http.ResponseWriter, r *http.Request, m campaign.Matrix, rerr *requestError, timeoutMs int) *campaign.Result {
+	if rerr != nil {
+		s.writeError(w, rerr.status, rerr.code, rerr.msg)
+		return nil
+	}
+	ctx, cancel := s.requestContext(r, timeoutMs)
+	defer cancel()
 	if err := s.acquire(ctx); err != nil {
-		return nil, err
+		s.writeRunError(w, err)
+		return nil
 	}
 	defer s.release()
 	start := time.Now()
 	res, err := s.engine().RunContext(ctx, m)
 	s.met.stageSec.Observe("run", time.Since(start).Seconds())
-	return res, err
+	if err != nil {
+		s.writeRunError(w, err)
+		return nil
+	}
+	s.observeResult(res)
+	return res
 }
 
 // AnalyzeRequest is the body of POST /v1/analyze: one workload on one
@@ -428,6 +449,9 @@ type RunCounters struct {
 	Coalesced    int `json:"coalesced"`
 	AnalysisHits int `json:"analysis_hits"`
 	CacheErrs    int `json:"cache_errors"`
+	// Work is the run's own ledger (campaign.Result.Work): the work
+	// done for this request, not the process totals.
+	Work core.Work `json:"work"`
 }
 
 func runCounters(res *campaign.Result) RunCounters {
@@ -440,6 +464,7 @@ func runCounters(res *campaign.Result) RunCounters {
 		Coalesced:    res.Coalesced,
 		AnalysisHits: res.AnalysisHits,
 		CacheErrs:    len(res.CacheErrs),
+		Work:         res.Work,
 	}
 }
 
@@ -454,45 +479,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	if req.Workload == "" {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "missing workload name")
+	m, rerr := req.matrix()
+	res := s.run(w, r, m, rerr, req.TimeoutMs)
+	if res == nil {
 		return
 	}
-	if !experiments.KnownWorkload(req.Workload) {
-		s.writeError(w, http.StatusNotFound, "unknown_workload",
-			fmt.Sprintf("unknown workload %q (see GET /v1/workloads)", req.Workload))
-		return
-	}
-	wl, err := experiments.WorkloadByName(req.Workload, req.Full)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	p, err := experiments.PlatformByName(req.Platform)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "unknown_platform", err.Error())
-		return
-	}
-	if req.Runs > 0 {
-		wl.Options.Runs = req.Runs
-	}
-	if req.Seed != nil {
-		wl.Options.Seed = *req.Seed
-	}
-	if req.Iterations > 0 {
-		wl.Options.Iterations = req.Iterations
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-	res, err := s.runMatrix(ctx, campaign.Matrix{
-		Workloads: []campaign.Workload{wl},
-		Platforms: []campaign.Platform{p},
-	})
-	if err != nil {
-		s.writeRunError(w, err)
-		return
-	}
-	s.observeResult(res)
 	cell := &res.Cells[0]
 	if cell.Err != nil {
 		s.writeError(w, http.StatusInternalServerError, "analysis_failed", cell.Err.Error())
@@ -532,23 +523,88 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
+	m, rerr := req.matrix()
+	res := s.run(w, r, m, rerr, req.TimeoutMs)
+	if res == nil {
+		return
+	}
+	out := CampaignResponse{
+		Cells:    make([]CellResult, 0, len(res.Cells)),
+		Counters: runCounters(res),
+	}
+	for i := range res.Cells {
+		out.Cells = append(out.Cells, cellResult(&res.Cells[i]))
+	}
+	s.writeJSON(w, "/v1/campaign", out)
+}
+
+// maxMatrixCells caps the cells one request may ask for. The largest
+// matrix any client in this repository sends has 112 cells; a request
+// over the cap is refused with 400 matrix_too_large before anything is
+// sized from it.
+const maxMatrixCells = 4096
+
+// requestError is a request refused before any run: its status and
+// structured error code.
+type requestError struct {
+	status    int
+	code, msg string
+}
+
+// matrix resolves an analyze request: the one-cell campaign of its
+// workload on its platform, with the seed override applied to the
+// workload's options rather than as a variant.
+func (req *AnalyzeRequest) matrix() (campaign.Matrix, *requestError) {
+	if req.Workload == "" {
+		return campaign.Matrix{}, &requestError{http.StatusBadRequest, "bad_request", "missing workload name"}
+	}
+	m, rerr := (&CampaignRequest{
+		Workloads: []string{req.Workload}, Platforms: []string{req.Platform},
+		Full: req.Full, Runs: req.Runs, Iterations: req.Iterations,
+	}).matrix()
+	if rerr == nil && req.Seed != nil {
+		m.Workloads[0].Options.Seed = *req.Seed
+	}
+	return m, rerr
+}
+
+// matrix resolves a campaign request into the matrix it runs. The cell
+// count is checked against maxMatrixCells from the request's lengths
+// alone, before any name is resolved or any seed list is built.
+func (req *CampaignRequest) matrix() (campaign.Matrix, *requestError) {
 	names := req.Workloads
 	if len(names) == 0 {
 		for _, spec := range experiments.Specs() {
 			names = append(names, spec.Name)
 		}
 	}
+	platforms := req.Platforms
+	if len(platforms) == 0 {
+		platforms = []string{"xeonmax"}
+	}
+	variants := len(req.Seeds)
+	if variants == 0 {
+		variants = max(req.SeedCount, 1)
+	}
+	// n > cap/cells is cells*n > cap without the overflow.
+	cells := 1
+	for _, n := range []int{len(names), len(platforms), variants} {
+		if n > maxMatrixCells/cells {
+			return campaign.Matrix{}, &requestError{http.StatusBadRequest, "matrix_too_large",
+				fmt.Sprintf("matrix exceeds %d cells", maxMatrixCells)}
+		}
+		cells *= n
+	}
+
 	var m campaign.Matrix
 	for _, name := range names {
 		if !experiments.KnownWorkload(name) {
-			s.writeError(w, http.StatusNotFound, "unknown_workload",
-				fmt.Sprintf("unknown workload %q (see GET /v1/workloads)", name))
-			return
+			return campaign.Matrix{}, &requestError{http.StatusNotFound, "unknown_workload",
+				fmt.Sprintf("unknown workload %q (see GET /v1/workloads)", name)}
 		}
 		wl, err := experiments.WorkloadByName(name, req.Full)
 		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-			return
+			return campaign.Matrix{}, &requestError{http.StatusBadRequest, "bad_request", err.Error()}
 		}
 		if req.Runs > 0 {
 			wl.Options.Runs = req.Runs
@@ -558,48 +614,24 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		}
 		m.Workloads = append(m.Workloads, wl)
 	}
-	platforms := req.Platforms
-	if len(platforms) == 0 {
-		platforms = []string{"xeonmax"}
-	}
 	for _, name := range platforms {
 		p, err := experiments.PlatformByName(name)
 		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "unknown_platform", err.Error())
-			return
+			return campaign.Matrix{}, &requestError{http.StatusBadRequest, "unknown_platform", err.Error()}
 		}
 		m.Platforms = append(m.Platforms, p)
 	}
 	seeds := req.Seeds
-	if len(seeds) == 0 && req.SeedCount > 0 {
-		seeds = make([]uint64, req.SeedCount)
-		for i := range seeds {
-			seeds[i] = uint64(i + 1)
-		}
+	for i := 0; len(req.Seeds) == 0 && i < req.SeedCount; i++ {
+		seeds = append(seeds, uint64(i+1))
 	}
 	for _, seed := range seeds {
-		seed := seed
 		m.Variants = append(m.Variants, campaign.Variant{
 			Name:  fmt.Sprintf("seed%d", seed),
 			Apply: func(o *core.Options) { o.Seed = seed },
 		})
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-	res, err := s.runMatrix(ctx, m)
-	if err != nil {
-		s.writeRunError(w, err)
-		return
-	}
-	s.observeResult(res)
-	out := CampaignResponse{
-		Cells:    make([]CellResult, 0, len(res.Cells)),
-		Counters: runCounters(res),
-	}
-	for i := range res.Cells {
-		out.Cells = append(out.Cells, cellResult(&res.Cells[i]))
-	}
-	s.writeJSON(w, "/v1/campaign", out)
+	return m, nil
 }
 
 // WorkloadInfo describes one resolvable workload in GET /v1/workloads.

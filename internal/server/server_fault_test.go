@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"hmpt/internal/core"
 	"hmpt/internal/faultfs"
 )
 
@@ -200,8 +199,6 @@ func TestCancelledCampaignStopsColdWork(t *testing.T) {
 	// cancellation nothing to save.
 	body := `{"workloads":["chase"],"seeds":[9001,9002,9003,9004,9005,9006,9007,9008],"timeout_ms":0}`
 
-	baseKernels := core.KernelExecutions()
-	baseSweeps := core.SweepEvaluations()
 	ctx, cancel := context.WithCancel(context.Background())
 	rec := httptest.NewRecorder()
 	done := make(chan struct{})
@@ -213,7 +210,7 @@ func TestCancelledCampaignStopsColdWork(t *testing.T) {
 	}()
 	// Cancel as soon as the first cold kernel is underway — mid-matrix,
 	// with seven more cells' worth of work still unstarted.
-	waitUntil(t, func() bool { return core.KernelExecutions() > baseKernels })
+	waitUntil(t, func() bool { return s.Work().Kernels > 0 })
 	cancel()
 	<-done
 	if rec.Code != StatusClientClosedRequest {
@@ -225,8 +222,8 @@ func TestCancelledCampaignStopsColdWork(t *testing.T) {
 	// Let the detached in-flight computation wind down, then check the
 	// cache tree: no staging temp files survive a cancellation.
 	waitUntil(t, func() bool { return s.flights.InFlight() == 0 })
-	cancelledKernels := core.KernelExecutions() - baseKernels
-	cancelledSweeps := core.SweepEvaluations() - baseSweeps
+	cancelledKernels := s.Work().Kernels
+	cancelledSweeps := s.Work().SweepEvaluations
 	for _, dir := range []string{cacheDir, anDir} {
 		if stray := tempFiles(t, dir); len(stray) > 0 {
 			t.Errorf("staging temp files left in %s after cancellation: %v", dir, stray)
@@ -254,8 +251,8 @@ func TestCancelledCampaignStopsColdWork(t *testing.T) {
 			t.Errorf("retry cell %s/%s/%s failed: %s", c.Workload, c.Platform, c.Variant, c.Error)
 		}
 	}
-	fullKernels := core.KernelExecutions() - baseKernels
-	fullSweeps := core.SweepEvaluations() - baseSweeps
+	fullKernels := s.Work().Kernels
+	fullSweeps := s.Work().SweepEvaluations
 	if cancelledKernels >= fullKernels {
 		t.Errorf("cancelled run executed %d kernels, full matrix needed %d — cancellation saved nothing",
 			cancelledKernels, fullKernels)
@@ -303,10 +300,7 @@ func TestWarmServingSurvivesFaultStorm(t *testing.T) {
 	}
 
 	// Warm traffic through the degraded daemon: all 200, zero work.
-	baseKernels := core.KernelExecutions()
-	baseSamples := core.SamplePasses()
-	baseSweeps := core.SweepEvaluations()
-	baseDerived := core.DerivedSnapshots()
+	base := s.Work()
 	for i := 0; i < 4; i++ {
 		resp, b := postJSON(t, ts.URL+"/v1/analyze", warmBody)
 		if resp.StatusCode != http.StatusOK {
@@ -320,16 +314,17 @@ func TestWarmServingSurvivesFaultStorm(t *testing.T) {
 			t.Errorf("warm request %d not served from cache during degraded mode", i)
 		}
 	}
-	if d := core.KernelExecutions() - baseKernels; d != 0 {
+	work := s.Work()
+	if d := work.Kernels - base.Kernels; d != 0 {
 		t.Errorf("warm serving under fault storm executed %d kernels, want 0", d)
 	}
-	if d := core.SamplePasses() - baseSamples; d != 0 {
+	if d := work.SamplePasses - base.SamplePasses; d != 0 {
 		t.Errorf("warm serving under fault storm ran %d sampling passes, want 0", d)
 	}
-	if d := core.SweepEvaluations() - baseSweeps; d != 0 {
+	if d := work.SweepEvaluations - base.SweepEvaluations; d != 0 {
 		t.Errorf("warm serving under fault storm ran %d placement passes, want 0", d)
 	}
-	if d := core.DerivedSnapshots() - baseDerived; d != 0 {
+	if d := work.Derived - base.Derived; d != 0 {
 		t.Errorf("warm serving under fault storm derived %d snapshots, want 0", d)
 	}
 

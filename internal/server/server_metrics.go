@@ -15,10 +15,10 @@ import (
 // hmptd_, counters end in _total, latencies are _seconds histograms,
 // and the cache rungs share one family per rung with an `op` label.
 //
-// The four zero-work counters and the coalescing counter are sampled
-// from their process-wide sources at scrape time (no double
-// bookkeeping); the daemon-smoke gate takes deltas between scrapes, so
-// absolute process-lifetime values are exactly what it needs.
+// The work counters (zero-work ladder, coalescing, recovered panics)
+// are read from the server's root ledger at scrape time: every
+// request's run counts on a child of it. The daemon-smoke gate takes
+// deltas between scrapes of these lifetime totals.
 type serverMetrics struct {
 	reg *metrics.Registry
 
@@ -63,28 +63,31 @@ func newMetrics(s *Server) *serverMetrics {
 		"Requests waiting for a campaign run slot.",
 		func() float64 { return float64(s.queued.Load()) })
 
-	// The zero-work ladder, process-wide: a warm daemon's scrapes show
-	// all four flat while requests flow.
-	reg.NewCounterFunc("hmptd_kernel_executions_total",
-		"Workload kernels executed for reference captures (process-wide).",
-		func() float64 { return float64(core.KernelExecutions()) })
-	reg.NewCounterFunc("hmptd_sample_passes_total",
-		"IBS sampling passes over a trace (process-wide).",
-		func() float64 { return float64(core.SamplePasses()) })
-	reg.NewCounterFunc("hmptd_sweep_evaluations_total",
-		"Placement-space probe and sweep passes (process-wide).",
-		func() float64 { return float64(core.SweepEvaluations()) })
-	reg.NewCounterFunc("hmptd_derived_snapshots_total",
-		"Snapshots synthesized from a family sibling (process-wide).",
-		func() float64 { return float64(core.DerivedSnapshots()) })
-	reg.NewCounterFunc("hmptd_seed_derivations_total",
-		"Derived snapshots transposed across seeds from their base capture (process-wide).",
-		func() float64 { return float64(core.SeedDerivations()) })
-
-	// Coalescing: the serving-layer exactly-once surface.
-	reg.NewCounterFunc("hmptd_coalesced_requests_total",
-		"Capture/analysis computations served from an in-flight or retained single-flight entry (process-wide).",
-		func() float64 { return float64(campaign.CoalescedFlights()) })
+	// The work the root ledger counted, daemon-wide: a warm daemon's
+	// scrapes show the zero-work ladder (the first four) flat while
+	// requests flow; coalescing is the serving-layer exactly-once
+	// surface.
+	for _, c := range []struct {
+		name, help string
+		field      func(core.Work) int64
+	}{
+		{"hmptd_kernel_executions_total", "Workload kernels executed for reference captures (daemon-wide).",
+			func(w core.Work) int64 { return w.Kernels }},
+		{"hmptd_sample_passes_total", "IBS sampling passes over a trace (daemon-wide).",
+			func(w core.Work) int64 { return w.SamplePasses }},
+		{"hmptd_sweep_evaluations_total", "Placement-space probe and sweep passes (daemon-wide).",
+			func(w core.Work) int64 { return w.SweepEvaluations }},
+		{"hmptd_derived_snapshots_total", "Snapshots synthesized from a family sibling (daemon-wide).",
+			func(w core.Work) int64 { return w.Derived }},
+		{"hmptd_seed_derivations_total", "Derived snapshots transposed across seeds from their base capture (daemon-wide).",
+			func(w core.Work) int64 { return w.SeedDerived }},
+		{"hmptd_coalesced_requests_total", "Capture/analysis computations served from an in-flight or retained single-flight entry (daemon-wide).",
+			func(w core.Work) int64 { return w.Coalesced }},
+		{"hmptd_recovered_panics_total", "Panics recovered inside campaign computations (daemon-wide); each failed one cell, not the process.",
+			func(w core.Work) int64 { return w.RecoveredPanics }},
+	} {
+		reg.NewCounterFunc(c.name, c.help, func() float64 { return float64(c.field(s.work.Work())) })
+	}
 	reg.NewGaugeFunc("hmptd_flights_inflight",
 		"Capture/analysis computations currently executing in the shared flight group.",
 		func() float64 { return float64(s.flights.InFlight()) })
@@ -128,12 +131,9 @@ func newMetrics(s *Server) *serverMetrics {
 			}
 		})
 
-	// Fault tolerance: recovered panics, injected faults (zero family
-	// without an armed injector), per-rung publisher resilience events
+	// Fault tolerance: injected faults (zero family without an armed
+	// injector), per-rung publisher resilience events
 	// and the degraded-mode gauges the chaos smoke watches flip 0→1→0.
-	reg.NewCounterFunc("hmptd_recovered_panics_total",
-		"Panics recovered inside campaign computations (process-wide); each failed one cell, not the process.",
-		func() float64 { return float64(campaign.RecoveredPanics()) })
 	reg.NewCounterVecFunc("hmptd_faults_injected_total",
 		"Faults injected by the chaos filesystem layer, by kind: eio, enospc, torn, latency.", "kind",
 		func() map[string]float64 {

@@ -14,8 +14,6 @@ import (
 	"sync"
 	"testing"
 
-	"hmpt/internal/core"
-
 	_ "hmpt/internal/workloads/synth"
 )
 
@@ -125,7 +123,7 @@ func TestMethodNotAllowed(t *testing.T) {
 }
 
 func TestAnalyzeServesAndWarms(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 	resp, b := postJSON(t, ts.URL+"/v1/analyze", `{"workload":"synth"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cold status %d: %s", resp.StatusCode, b)
@@ -144,8 +142,7 @@ func TestAnalyzeServesAndWarms(t *testing.T) {
 		t.Errorf("cold executions = %d, want 1", cold.Counters.Executions)
 	}
 
-	baseKernels := core.KernelExecutions()
-	baseSweeps := core.SweepEvaluations()
+	base := srv.Work()
 	resp, b = postJSON(t, ts.URL+"/v1/analyze", `{"workload":"synth"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm status %d: %s", resp.StatusCode, b)
@@ -160,10 +157,10 @@ func TestAnalyzeServesAndWarms(t *testing.T) {
 	if warm.Result.MaxSpeedup != cold.Result.MaxSpeedup {
 		t.Errorf("warm max speedup %v != cold %v", warm.Result.MaxSpeedup, cold.Result.MaxSpeedup)
 	}
-	if got := core.KernelExecutions() - baseKernels; got != 0 {
+	if got := srv.Work().Kernels - base.Kernels; got != 0 {
 		t.Errorf("warm request executed %d kernels, want 0", got)
 	}
-	if got := core.SweepEvaluations() - baseSweeps; got != 0 {
+	if got := srv.Work().SweepEvaluations - base.SweepEvaluations; got != 0 {
 		t.Errorf("warm request ran %d placement passes, want 0", got)
 	}
 }
@@ -174,7 +171,7 @@ func TestAnalyzeServesAndWarms(t *testing.T) {
 // server's flight group as a cache hit: analysis_from_cache=true, zero
 // executions, zero derivations, zero placement passes.
 func TestWarmGroupByAnalyzeIsACacheHit(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 	analyze := func() AnalyzeResponse {
 		t.Helper()
 		resp, b := postJSON(t, ts.URL+"/v1/analyze", `{"workload":"kwave"}`)
@@ -191,9 +188,7 @@ func TestWarmGroupByAnalyzeIsACacheHit(t *testing.T) {
 	if cold.Result.AnalysisFromCache {
 		t.Error("cold request claims an analysis hit")
 	}
-	baseKernels := core.KernelExecutions()
-	baseDerived := core.DerivedSnapshots()
-	baseSweeps := core.SweepEvaluations()
+	base := srv.Work()
 	warm := analyze()
 	if !warm.Result.AnalysisFromCache || !warm.Result.SnapshotFromCache {
 		t.Errorf("warm request: analysis_from_cache=%v snapshot_from_cache=%v, want true/true",
@@ -202,13 +197,13 @@ func TestWarmGroupByAnalyzeIsACacheHit(t *testing.T) {
 	if warm.Counters.Executions != 0 || warm.Counters.Derived != 0 || warm.Counters.AnalysisHits != 1 {
 		t.Errorf("warm counters %+v, want 0 executions, 0 derived, 1 analysis hit", warm.Counters)
 	}
-	if d := core.KernelExecutions() - baseKernels; d != 0 {
+	if d := srv.Work().Kernels - base.Kernels; d != 0 {
 		t.Errorf("warm request executed %d kernels, want 0", d)
 	}
-	if d := core.DerivedSnapshots() - baseDerived; d != 0 {
+	if d := srv.Work().Derived - base.Derived; d != 0 {
 		t.Errorf("warm request derived %d snapshots, want 0", d)
 	}
-	if d := core.SweepEvaluations() - baseSweeps; d != 0 {
+	if d := srv.Work().SweepEvaluations - base.SweepEvaluations; d != 0 {
 		t.Errorf("warm request ran %d placement passes, want 0", d)
 	}
 	if warm.Result.MaxSpeedup != cold.Result.MaxSpeedup {
@@ -222,10 +217,8 @@ func TestWarmGroupByAnalyzeIsACacheHit(t *testing.T) {
 // interleaving — overlapping requests coalesce on the in-flight
 // computation, stragglers on the retained entry.
 func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 	const k = 8
-	baseKernels := core.KernelExecutions()
-	baseSweeps := core.SweepEvaluations()
 
 	responses := make([]AnalyzeResponse, k)
 	errs := make([]error, k)
@@ -266,10 +259,10 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 				i, responses[i].Result.MaxSpeedup, responses[0].Result.MaxSpeedup)
 		}
 	}
-	if got := core.KernelExecutions() - baseKernels; got != 1 {
+	if got := srv.Work().Kernels; got != 1 {
 		t.Errorf("%d identical requests executed %d kernels, want 1", k, got)
 	}
-	if got := core.SweepEvaluations() - baseSweeps; got != 2 {
+	if got := srv.Work().SweepEvaluations; got != 2 {
 		t.Errorf("%d identical requests ran %d placement passes, want 2 (one probe + one sweep)", k, got)
 	}
 }
@@ -538,11 +531,7 @@ func TestTwoDaemonsShareCacheTree(t *testing.T) {
 
 	// A third daemon over the same tree is warm from scrape one: zero
 	// kernels, zero sampling, zero placement, zero derivations.
-	_, ts3 := newTestServer(t, cfg)
-	baseKernels := core.KernelExecutions()
-	baseSamples := core.SamplePasses()
-	baseSweeps := core.SweepEvaluations()
-	baseDerived := core.DerivedSnapshots()
+	s3, ts3 := newTestServer(t, cfg)
 	resp, b := postJSON(t, ts3.URL+"/v1/analyze", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm daemon status %d: %s", resp.StatusCode, b)
@@ -554,16 +543,17 @@ func TestTwoDaemonsShareCacheTree(t *testing.T) {
 	if !out.Result.AnalysisFromCache {
 		t.Error("third daemon's request not served from the shared analysis cache")
 	}
-	if d := core.KernelExecutions() - baseKernels; d != 0 {
+	work := s3.Work()
+	if d := work.Kernels; d != 0 {
 		t.Errorf("warm daemon executed %d kernels, want 0", d)
 	}
-	if d := core.SamplePasses() - baseSamples; d != 0 {
+	if d := work.SamplePasses; d != 0 {
 		t.Errorf("warm daemon ran %d sampling passes, want 0", d)
 	}
-	if d := core.SweepEvaluations() - baseSweeps; d != 0 {
+	if d := work.SweepEvaluations; d != 0 {
 		t.Errorf("warm daemon ran %d placement passes, want 0", d)
 	}
-	if d := core.DerivedSnapshots() - baseDerived; d != 0 {
+	if d := work.Derived; d != 0 {
 		t.Errorf("warm daemon derived %d snapshots, want 0", d)
 	}
 }

@@ -3,11 +3,11 @@ package shard
 import "sync/atomic"
 
 // Process-wide shard counters, exported read-only for the facade and
-// the daemon's metrics registry (the same idiom as
-// core.KernelExecutions and campaign.RecoveredPanics): every lease
-// manager, journal and worker in the process feeds the same counters,
-// so a daemon hosting shard workers exposes fleet-visible gauges
-// without plumbing.
+// the daemon's metrics registry: every lease manager, journal and
+// worker in the process feeds the same counters, so a daemon hosting
+// shard workers exposes fleet-visible gauges without plumbing. The
+// pipeline's own work is counted per run instead, on the core.Ledger
+// the run's context carries.
 var (
 	leasesAcquired  atomic.Int64
 	leasesReclaimed atomic.Int64

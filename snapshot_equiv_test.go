@@ -19,6 +19,7 @@ import (
 // replays every registered workload, comparing against the live engine
 // analysis (itself equivalence-tested against the naive oracle).
 func TestReplayMatchesLive(t *testing.T) {
+	t.Parallel()
 	for _, c := range equivCases(t) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -49,12 +50,12 @@ func TestReplayMatchesLive(t *testing.T) {
 			if err != nil {
 				t.Fatalf("live: %v", err)
 			}
-			before := core.KernelExecutions()
-			replay, err := core.NewReplay(dec, c.opts).Analyze()
+			lctx, led := ledgerContext()
+			replay, err := core.NewReplay(dec, c.opts).AnalyzeContext(lctx)
 			if err != nil {
 				t.Fatalf("replay: %v", err)
 			}
-			if got := core.KernelExecutions() - before; got != 0 {
+			if got := led.Work().Kernels; got != 0 {
 				t.Errorf("replay executed %d kernels, want 0", got)
 			}
 			diffAnalyses(t, live, replay)
