@@ -556,6 +556,10 @@ func BenchmarkCampaignMatrix(b *testing.B) {
 // (one core.ReplayContext, built once, cloned evaluators per replay).
 // The two paths are byte-identical (context_equiv_test.go); this
 // benchmark measures what the sharing is worth per campaign cell.
+// "shared" also gates the allocation count of one shared-context
+// analysis: it must stay below the analysis' configuration count, so no
+// per-configuration allocation can creep back into the sweep (a count,
+// not a timing).
 func BenchmarkReplayContextReuse(b *testing.B) {
 	spec, err := experiments.SpecFor("npb.bt")
 	if err != nil {
@@ -584,8 +588,18 @@ func BenchmarkReplayContextReuse(b *testing.B) {
 		}
 		// Prime the context's memos so the steady state is measured —
 		// cell 2..N of a campaign, not cell 1.
-		if _, err := core.NewContextReplay(ctx, opts).Analyze(); err != nil {
+		an, err := core.NewContextReplay(ctx, opts).Analyze()
+		if err != nil {
 			b.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := core.NewContextReplay(ctx, opts).Analyze(); err != nil {
+				b.Fatal(err)
+			}
+		})
+		if bound := float64(len(an.Configs)); allocs >= bound {
+			b.Errorf("a shared-context %s analysis makes %.0f allocations, want < %.0f (one per configuration)",
+				an.Workload, allocs, bound)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -594,6 +608,7 @@ func BenchmarkReplayContextReuse(b *testing.B) {
 			}
 		}
 		sharedNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		b.ReportMetric(allocs, "analyze-allocs/op")
 		if freshNs > 0 && sharedNs > 0 {
 			b.ReportMetric(freshNs/sharedNs, "fresh/shared-speedup")
 			once("ctx-reuse", fmt.Sprintf("\n== ReplayContextReuse: per-replay %.3fms vs shared context %.3fms per cell: %.2fx ==\n",
@@ -1385,9 +1400,11 @@ func BenchmarkShardedCampaign(b *testing.B) {
 // analysis: MB/s through the encoder and decoder, and their allocation
 // counts. The counts are gated, not the timings: an encode must be one
 // allocation (its exact length is computed up front), and a decode at
-// most one allocation per string decoded plus a fixed 8 (the Analysis,
-// its Groups and Configs, and one backing array each for every group's
-// Allocs and every config's Groups and Times).
+// most one allocation per string outside the configs (id, workload,
+// platform, every group label) plus a fixed 9 (the Analysis, its Groups
+// and Configs, one backing array each for every group's Allocs and
+// every config's Groups and Times, the one buffer every config label is
+// a substring of, and two spare).
 func BenchmarkAnalysisCodec(b *testing.B) {
 	spec, err := experiments.SpecFor("npb.bt")
 	if err != nil {
@@ -1402,7 +1419,7 @@ func BenchmarkAnalysisCodec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	strs := 3 + len(an.Groups) + len(an.Configs) // id, workload, platform and every label
+	strs := 3 + len(an.Groups) // id, workload, platform and every group label
 
 	b.Run("encode", func(b *testing.B) {
 		allocs := testing.AllocsPerRun(20, func() {
@@ -1438,8 +1455,9 @@ func BenchmarkAnalysisCodec(b *testing.B) {
 			}
 		}
 		b.ReportMetric(allocs, "decode-allocs/op")
-		if limit := float64(strs + 8); allocs > limit {
-			b.Errorf("decoding a %d-byte analysis with %d strings makes %.0f allocations, want <= %.0f", len(raw), strs, allocs, limit)
+		if limit := float64(strs + 9); allocs > limit {
+			b.Errorf("decoding a %d-byte analysis with %d strings and %d configs makes %.0f allocations, want <= %.0f",
+				len(raw), strs, len(an.Configs), allocs, limit)
 		}
 	})
 }

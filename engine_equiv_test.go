@@ -124,26 +124,33 @@ func diffAnalyses(t *testing.T, ref, eng *core.Analysis) {
 
 // TestParallelSweepDeterministic asserts the engine analysis is
 // byte-identical across repeated runs and across sweep worker counts:
-// parallelism must change scheduling only, never results.
+// parallelism must change scheduling only, never results. npb.mg has 3
+// groups (8 configs); npb.bt has 8 (256 configs whose Groups and Times
+// are carved from shared backing arrays that every worker writes into).
 func TestParallelSweepDeterministic(t *testing.T) {
-	spec, err := experiments.SpecFor("npb.mg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base *core.Analysis
-	for _, workers := range []int{1, 1, 3, 16} {
-		opts := spec.Options
-		opts.SweepParallelism = workers
-		an, err := core.New(spec.Fast(), opts).Analyze()
+	for name, configs := range map[string]int{"npb.mg": 8, "npb.bt": 256} {
+		spec, err := experiments.SpecFor(name)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		if base == nil {
-			base = an
-			continue
+		var base *core.Analysis
+		for _, workers := range []int{1, 1, 3, 16} {
+			opts := spec.Options
+			opts.SweepParallelism = workers
+			an, err := core.New(spec.Fast(), opts).Analyze()
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if base == nil {
+				base = an
+				continue
+			}
+			if !reflect.DeepEqual(base, an) {
+				t.Errorf("%s: analysis differs at SweepParallelism=%d", name, workers)
+			}
 		}
-		if !reflect.DeepEqual(base, an) {
-			t.Errorf("analysis differs at SweepParallelism=%d", workers)
+		if len(base.Configs) != configs {
+			t.Errorf("%s: %d configs, want %d", name, len(base.Configs), configs)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"hmpt/internal/shim"
 	"hmpt/internal/units"
@@ -171,8 +172,9 @@ func DecodeAnalysis(raw []byte) (*Analysis, string, error) {
 // ReadAnalysis consumes one analysis body written by AppendAnalysis and
 // returns it with its identifier. The caller owns the seal and any
 // trailing-bytes check. Every group's Allocs, every config's Groups and
-// every config's Times are carved out of one backing array per kind;
-// zero-length slices decode as nil.
+// every config's Times are carved out of one backing array per kind,
+// and the config labels share one string; zero-length slices decode as
+// nil.
 func ReadAnalysis(d *wire.Decoder) (*Analysis, string, error) {
 	if v := d.U32(); v != AnalysisVersion {
 		if err := d.Err(); err != nil {
@@ -234,6 +236,14 @@ func ReadAnalysis(d *wire.Decoder) (*Analysis, string, error) {
 	}
 	members := carver[int]{buf: make([]int, nMembers)}
 	times := carver[units.Duration]{buf: make([]units.Duration, nTimes)}
+	// Every config label is copied into one buffer and handed out as a
+	// substring of it: a Builder never rewrites bytes it has written, so
+	// each substring stays valid as later labels are appended. The hint
+	// covers the pipeline's labels ("[0 1 2]" is 2·members+1 bytes), so
+	// they normally share one allocation; the buffer holds label bytes
+	// only and pins nothing else of the payload.
+	var labels strings.Builder
+	labels.Grow(2 * (int(nConfigs) + int(nMembers)))
 	if nConfigs > 0 {
 		an.Configs = make([]Config, nConfigs)
 	}
@@ -247,7 +257,9 @@ func ReadAnalysis(d *wire.Decoder) (*Analysis, string, error) {
 		for j := range c.Groups {
 			c.Groups[j] = int(d.I64())
 		}
-		c.Label = d.Str()
+		start := labels.Len()
+		labels.Write(d.StrBytes())
+		c.Label = labels.String()[start:]
 		c.HBMBytes = units.Bytes(d.I64())
 		c.HBMFrac = d.F64()
 		c.SampleFrac = d.F64()

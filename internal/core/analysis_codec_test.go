@@ -71,27 +71,51 @@ func TestAnalysisLenIsExact(t *testing.T) {
 }
 
 // TestDecodedSlicesAreIndependent: the decoder carves every config's
-// Groups and Times out of shared backing arrays, so each carved slice
-// must be capped at its own length — appending to one config's slice
-// must not overwrite its neighbour's elements.
+// Groups and Times (and every group's Allocs) out of shared backing
+// arrays, and so does the sweep for the configs it builds, so each
+// carved slice must be capped at its own length — appending to one
+// config's slice must not overwrite its neighbour's elements. Checked
+// on a decoded sample, a pipeline-produced analysis and its decoding.
 func TestDecodedSlicesAreIndependent(t *testing.T) {
-	raw, err := EncodeAnalysisRaw("id", testAnalysis())
-	if err != nil {
-		t.Fatal(err)
+	decoded := func(an *Analysis) func() *Analysis {
+		raw, err := EncodeAnalysisRaw("id", an)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() *Analysis {
+			dec, _, err := DecodeAnalysis(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return dec
+		}
 	}
-	an, _, err := DecodeAnalysis(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an.Configs[1].Groups = append(an.Configs[1].Groups, 99)
-	an.Configs[0].Times = append(an.Configs[0].Times, 99)
-	an.Groups[0].Allocs = append(an.Groups[0].Allocs, 99)
-	want := testAnalysis()
-	if !reflect.DeepEqual(an.Configs[2], want.Configs[2]) || !reflect.DeepEqual(an.Configs[1].Times, want.Configs[1].Times) {
-		t.Fatal("appending to a decoded config slice overwrote the next config")
-	}
-	if !reflect.DeepEqual(an.Groups[1].Allocs, want.Groups[1].Allocs) {
-		t.Fatal("appending to a decoded group's Allocs overwrote the next group")
+	for _, tc := range []struct {
+		name    string
+		analyze func() *Analysis
+		decoded bool
+	}{
+		{"decoded sample", decoded(testAnalysis()), true},
+		{"pipeline", func() *Analysis { return analyzeDefault(t) }, false},
+		{"decoded pipeline", decoded(analyzeDefault(t)), true},
+	} {
+		an, want := tc.analyze(), tc.analyze()
+		for i := 0; i+1 < len(an.Configs); i++ {
+			an.Configs[i].Groups = append(an.Configs[i].Groups, 99)
+			an.Configs[i].Times = append(an.Configs[i].Times, 99)
+			if !reflect.DeepEqual(an.Configs[i+1], want.Configs[i+1]) {
+				t.Fatalf("%s: appending to config %d's Groups or Times overwrote config %d", tc.name, i, i+1)
+			}
+		}
+		if !tc.decoded {
+			continue // the pipeline's group Allocs come from the registry, not a carver
+		}
+		for i := 0; i+1 < len(an.Groups); i++ {
+			an.Groups[i].Allocs = append(an.Groups[i].Allocs, 99)
+			if !reflect.DeepEqual(an.Groups[i+1].Allocs, want.Groups[i+1].Allocs) {
+				t.Fatalf("%s: appending to group %d's Allocs overwrote group %d", tc.name, i, i+1)
+			}
+		}
 	}
 }
 

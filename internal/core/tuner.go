@@ -27,6 +27,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 
 	"hmpt/internal/ibs"
@@ -401,6 +402,10 @@ func (t *Tuner) sampleReport(ctx context.Context, tr *trace.Trace, al *shim.Allo
 // mask space is partitioned over workers, and each worker walks its
 // slice of the Gray-code sequence so that consecutive masks differ by
 // one group flip and only the phases that group touches are re-costed.
+// Every config's mask-derived fields are filled before the fan-out
+// (configShells), so a worker only replays noise draws into its
+// pre-carved Times and derives the statistics: the sweep makes a fixed
+// number of allocations however many masks it measures.
 // Workers poll ctx between masks: a cancelled sweep abandons its
 // remaining masks and the whole analysis returns ctx.Err() — partial
 // configs are never observable because the caller discards the result.
@@ -418,9 +423,11 @@ func (t *Tuner) sweepConfigs(ctx context.Context, an *Analysis, machine *memsim.
 	}
 
 	n := len(an.Configs)
-	rngs := make([]*xrand.Rand, n)
+	runs := t.opts.Runs
+	configShells(an.Configs, groups, total, hbmCap, runs)
+	rngs := make([]xrand.Rand, n)
 	for mask := range rngs {
-		rngs[mask] = cfgRNG.Split(uint64(mask))
+		rngs[mask] = cfgRNG.SplitValue(uint64(mask))
 	}
 
 	workers := t.opts.SweepParallelism
@@ -435,15 +442,15 @@ func (t *Tuner) sweepConfigs(ctx context.Context, an *Analysis, machine *memsim.
 			return
 		}
 		ev := eng.Clone()
+		draws := make([]float64, runs)
 		mask := grayCode(uint32(lo))
 		det := ev.EvalMask(mask, ddr, hbm)
 		for i := lo; ; {
 			if ctx.Err() != nil {
 				return
 			}
-			cfg := configShell(groups, mask, total, hbmCap)
-			finishConfig(&cfg, replaySample(machine, det, t.opts.Runs, rngs[mask]), baseMean, groups)
-			an.Configs[mask] = cfg
+			replayDraws(machine, det, &rngs[mask], draws)
+			finishReplayed(&an.Configs[mask], draws, baseMean, groups)
 			if i++; i >= hi {
 				return
 			}
@@ -475,14 +482,13 @@ func (t *Tuner) compileSweep(m *memsim.Machine, tr *trace.Trace, sets [][]shim.A
 	return m.CompileSweep(tr, t.opts.Threads, sets, ddr)
 }
 
-// replaySample replays runs noise draws against one deterministic trace
-// time, reproducing what runs Machine.Cost calls would have measured.
-func replaySample(m *memsim.Machine, det units.Duration, runs int, rng *xrand.Rand) *stats.Sample {
-	s := &stats.Sample{}
-	for i := 0; i < runs; i++ {
-		s.Add(m.NoisyTime(det, rng).Seconds())
+// replayDraws replays len(draws) noise draws against one deterministic
+// trace time into draws (in seconds), reproducing what that many
+// Machine.Cost calls would have measured.
+func replayDraws(m *memsim.Machine, det units.Duration, rng *xrand.Rand, draws []float64) {
+	for i := range draws {
+		draws[i] = m.NoisyTime(det, rng).Seconds()
 	}
-	return s
 }
 
 // measure runs the trace Runs times under the placement, returning the
@@ -550,6 +556,89 @@ func finishConfig(cfg *Config, sample *stats.Sample, baseMean float64, groups []
 	}
 	// Linear estimate (§III-A): combination speedup as the sum of the
 	// individual gains, groups assumed independent.
+	cfg.EstSpeedup = 1
+	for _, gi := range cfg.Groups {
+		cfg.EstSpeedup += groups[gi].SoloSpeedup - 1
+	}
+}
+
+// configShells fills the mask-derived fields of every config — what
+// configShell computes for one mask — in one serial pass over the whole
+// mask space. Every config's Groups is carved from one backing array,
+// every Times (runs entries, left for the sweep to fill) from another,
+// and every Label is a substring of one string; each carved slice is
+// capped at its own length, so an append to one cannot reach the next.
+func configShells(cfgs []Config, groups []Group, total, hbmCap units.Bytes, runs int) {
+	members := make([]int, len(groups)*len(cfgs)/2) // each group is in half the masks
+	times := make([]units.Duration, runs*len(cfgs))
+	var labels strings.Builder
+	labels.Grow(labelsLen(len(groups)))
+	for mask := range cfgs {
+		cfg := &cfgs[mask]
+		*cfg = Config{Mask: uint32(mask), Feasible: true}
+		if n := bits.OnesCount32(uint32(mask)); n > 0 {
+			cfg.Groups, members = members[:0:n], members[n:]
+		}
+		for gi := range groups {
+			if mask&(1<<uint(gi)) != 0 {
+				cfg.Groups = append(cfg.Groups, gi)
+				cfg.HBMBytes += groups[gi].SimBytes
+				cfg.SampleFrac += groups[gi].Density
+			}
+		}
+		// A Builder never rewrites bytes it has written, so the
+		// substring stays valid as later labels are appended.
+		start := labels.Len()
+		writeLabel(&labels, cfg.Groups)
+		cfg.Label = labels.String()[start:]
+		if total > 0 {
+			cfg.HBMFrac = float64(cfg.HBMBytes) / float64(total)
+		}
+		if hbmCap > 0 && cfg.HBMBytes > hbmCap {
+			cfg.Feasible = false
+		}
+		cfg.Times, times = times[:runs:runs], times[runs:]
+	}
+}
+
+// writeLabel writes maskLabel(groups) to b.
+func writeLabel(b *strings.Builder, groups []int) {
+	b.WriteByte('[')
+	for i, g := range groups {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(strconv.Itoa(g))
+	}
+	b.WriteByte(']')
+}
+
+// labelsLen is the total length of the labels of all 2^k masks over k
+// groups: two brackets per mask, each group's digits and one separator
+// in half the masks, less one separator per non-empty mask.
+func labelsLen(k int) int {
+	n := 1 << uint(k)
+	l := 2*n - (n - 1)
+	for g := 0; g < k; g++ {
+		l += n / 2 * (len(strconv.Itoa(g)) + 1)
+	}
+	return l
+}
+
+// finishReplayed is finishConfig for a config whose Times configShells
+// carved: it stores the replayed draws (seconds) and derives MeanTime,
+// Speedup, SpeedupCI and EstSpeedup with finishConfig's formulas, in
+// finishConfig's evaluation order.
+func finishReplayed(cfg *Config, draws []float64, baseMean float64, groups []Group) {
+	for i, v := range draws {
+		cfg.Times[i] = units.Duration(v)
+	}
+	mean := stats.Mean(draws)
+	cfg.MeanTime = units.Duration(mean)
+	cfg.Speedup = baseMean / mean
+	if mean > 0 {
+		cfg.SpeedupCI = cfg.Speedup * stats.CI95(draws) / mean
+	}
 	cfg.EstSpeedup = 1
 	for _, gi := range cfg.Groups {
 		cfg.EstSpeedup += groups[gi].SoloSpeedup - 1
@@ -649,7 +738,8 @@ func (t *Tuner) buildGroups(ctx context.Context, m *memsim.Machine, tr *trace.Tr
 		}
 		engDet = eng.EvalGroups(nil, ddr, hbm)
 	}
-	measureHBM := func(hbmPres []*pre, rng *xrand.Rand) (*stats.Sample, error) {
+	// It returns the mean measured time in seconds.
+	measureHBM := func(hbmPres []*pre, rng *xrand.Rand) (float64, error) {
 		if eng != nil {
 			want := make([]bool, len(pres))
 			for _, g := range hbmPres {
@@ -666,7 +756,9 @@ func (t *Tuner) buildGroups(ctx context.Context, m *memsim.Machine, tr *trace.Tr
 				engDet = eng.Flip(i, to)
 				inHBM[i] = want[i]
 			}
-			return replaySample(m, engDet, o.Runs, rng), nil
+			draws := make([]float64, o.Runs)
+			replayDraws(m, engDet, rng, draws)
+			return stats.Mean(draws), nil
 		}
 		pl := memsim.NewSimplePlacement(len(m.P.Pools), ddr)
 		for _, g := range hbmPres {
@@ -674,7 +766,11 @@ func (t *Tuner) buildGroups(ctx context.Context, m *memsim.Machine, tr *trace.Tr
 				pl.Set(id, hbm)
 			}
 		}
-		return t.measure(m, tr, pl, rng)
+		sample, err := t.measure(m, tr, pl, rng)
+		if err != nil {
+			return 0, err
+		}
+		return sample.Mean(), nil
 	}
 
 	// Filter: small pre-groups fold into rest.
@@ -708,9 +804,9 @@ func (t *Tuner) buildGroups(ctx context.Context, m *memsim.Machine, tr *trace.Tr
 	}
 	probes := make([]probed, len(significant))
 	if len(significant) > 0 {
-		probeRNGs := make([]*xrand.Rand, len(significant))
+		probeRNGs := make([]xrand.Rand, len(significant))
 		for i := range probeRNGs {
-			probeRNGs[i] = rng.Split(uint64(i))
+			probeRNGs[i] = rng.SplitValue(uint64(i))
 		}
 		probeErrs := make([]error, len(significant))
 		workers := o.SweepParallelism
@@ -725,36 +821,39 @@ func (t *Tuner) buildGroups(ctx context.Context, m *memsim.Machine, tr *trace.Tr
 				return
 			}
 			var ev *memsim.SweepEvaluator
+			var draws []float64
 			inHBM := -1 // pre-group index currently flipped into HBM
 			if eng != nil {
 				ev = eng.Clone()
+				draws = make([]float64, o.Runs)
 			}
 			for i := lo; i < hi; i++ {
 				if ctx.Err() != nil {
 					return
 				}
 				g := significant[i]
-				var sample *stats.Sample
+				var mean float64
 				if ev != nil {
 					if inHBM >= 0 {
 						ev.Flip(inHBM, ddr)
 					}
 					det := ev.Flip(g.idx, hbm)
 					inHBM = g.idx
-					sample = replaySample(m, det, o.Runs, probeRNGs[i])
+					replayDraws(m, det, &probeRNGs[i], draws)
+					mean = stats.Mean(draws)
 				} else {
 					pl := memsim.NewSimplePlacement(len(m.P.Pools), ddr)
 					for _, id := range g.allocs {
 						pl.Set(id, hbm)
 					}
-					var err error
-					sample, err = t.measure(m, tr, pl, probeRNGs[i])
+					sample, err := t.measure(m, tr, pl, &probeRNGs[i])
 					if err != nil {
 						probeErrs[i] = err
 						continue
 					}
+					mean = sample.Mean()
 				}
-				probes[i] = probed{pre: g, solo: baseMean / sample.Mean()}
+				probes[i] = probed{pre: g, solo: baseMean / mean}
 			}
 		})
 		if err != nil {
@@ -827,11 +926,11 @@ func (t *Tuner) buildGroups(ctx context.Context, m *memsim.Machine, tr *trace.Tr
 			}
 		}
 		// Probe the rest group too, so estimates cover it.
-		sample, err := measureHBM(restPres, rng.Split(math.MaxUint32))
+		mean, err := measureHBM(restPres, rng.Split(math.MaxUint32))
 		if err != nil {
 			return nil, 0, 0, fmt.Errorf("core: probing rest group: %w", err)
 		}
-		g.SoloSpeedup = baseMean / sample.Mean()
+		g.SoloSpeedup = baseMean / mean
 		groups = append(groups, g)
 	}
 	if len(groups) == 0 {

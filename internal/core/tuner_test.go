@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"hmpt/internal/memsim"
 	"hmpt/internal/units"
@@ -544,5 +545,46 @@ func TestIterationsThreadThroughAnalysis(t *testing.T) {
 	}
 	if _, err := New(synth.Default(), Options{Seed: 1, Snapshot: more}).Analyze(); err == nil {
 		t.Error("analysis accepted a snapshot captured under a different iteration count")
+	}
+}
+
+// TestConfigShellsMatchConfigShell: the one-pass shell builder writes
+// exactly what the per-mask configShell does — for one- and two-digit
+// group indices, an HBM capacity that makes some masks infeasible, and
+// a zero total — with every config's Times sized for the runs, every
+// label a consecutive substring of one string of labelsLen bytes.
+func TestConfigShellsMatchConfigShell(t *testing.T) {
+	for _, k := range []int{0, 1, 3, 8, 12} {
+		groups := make([]Group, k)
+		for gi := range groups {
+			groups[gi] = Group{Index: gi, SimBytes: units.Bytes(gi+1) * units.MiB, Density: 1 / float64(gi+3)}
+		}
+		for _, total := range []units.Bytes{0, units.Bytes(k*k+1) * units.MiB} {
+			const runs = 3
+			hbmCap := units.Bytes(k) * units.MiB
+			cfgs := make([]Config, 1<<uint(k))
+			configShells(cfgs, groups, total, hbmCap, runs)
+			labels := 0
+			for mask := range cfgs {
+				got, want := cfgs[mask], configShell(groups, uint32(mask), total, hbmCap)
+				if len(got.Times) != runs || cap(got.Times) != runs {
+					t.Fatalf("k=%d mask %d: Times len %d cap %d, want %d", k, mask, len(got.Times), cap(got.Times), runs)
+				}
+				got.Times = nil
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("k=%d total=%d mask %d: configShells %+v, configShell %+v", k, total, mask, got, want)
+				}
+				if mask > 0 {
+					prev := cfgs[mask-1].Label
+					if unsafe.StringData(got.Label) != (*byte)(unsafe.Add(unsafe.Pointer(unsafe.StringData(prev)), len(prev))) {
+						t.Fatalf("k=%d: label of mask %d does not follow mask %d's in one string", k, mask, mask-1)
+					}
+				}
+				labels += len(got.Label)
+			}
+			if labels != labelsLen(k) {
+				t.Errorf("k=%d: labels take %d bytes, labelsLen says %d", k, labels, labelsLen(k))
+			}
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"hmpt/internal/campaign"
 )
@@ -33,6 +34,36 @@ func TestCampaignMatrixTooLarge(t *testing.T) {
 		}
 		if code := errorCode(t, b); code != "matrix_too_large" {
 			t.Errorf("%.60s: error code %q, want matrix_too_large", body, code)
+		}
+	}
+}
+
+// TestHugeTimeoutRefused: a timeout_ms whose duration would overflow
+// is refused with 400 bad_timeout on both run endpoints, before the
+// run starts — it used to wrap to a negative deadline and come back 504
+// deadline_exceeded — while the largest representable one runs.
+func TestHugeTimeoutRefused(t *testing.T) {
+	t.Parallel()
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		path, body string
+		status     int
+	}{
+		{"/v1/analyze", `{"workload":"synth","timeout_ms":18446744073710}`, http.StatusBadRequest},
+		{"/v1/campaign", `{"workloads":["synth"],"timeout_ms":18446744073710}`, http.StatusBadRequest},
+		{"/v1/analyze", `{"workload":"synth","timeout_ms":9223372036855}`, http.StatusBadRequest},
+		{"/v1/analyze", `{"workload":"synth","timeout_ms":9223372036854}`, http.StatusOK},
+		{"/v1/campaign", `{"workloads":["synth"],"timeout_ms":9223372036854}`, http.StatusOK},
+	} {
+		resp, b := postJSON(t, ts.URL+tc.path, tc.body)
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s %s: status %d, want %d: %s", tc.path, tc.body, resp.StatusCode, tc.status, b)
+			continue
+		}
+		if tc.status == http.StatusBadRequest {
+			if code := errorCode(t, b); code != "bad_timeout" {
+				t.Errorf("%s %s: error code %q, want bad_timeout", tc.path, tc.body, code)
+			}
 		}
 	}
 }
@@ -74,7 +105,8 @@ func matrixCells(m campaign.Matrix) int {
 // endpoint's decode and matrix building. Neither may panic; a resolved
 // matrix stays within maxMatrixCells; the bytes allocated stay within
 // a fixed budget plus a multiple of the input length; and a decoded
-// request survives a marshal/decode round trip unchanged.
+// request survives a marshal/decode round trip unchanged; an accepted
+// request's timeout_ms converts to a duration without overflowing.
 func FuzzCampaignRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
@@ -85,6 +117,8 @@ func FuzzCampaignRequest(f *testing.F) {
 		`{"workloads":["synth"],"platforms":["cray"]}`,
 		`{"workloads":["no-such"]}`,
 		`{"seeds":[18446744073709551615],"seed_count":-1}`,
+		`{"workloads":["synth"],"timeout_ms":18446744073710}`,
+		`{"workloads":["synth"],"timeout_ms":9223372036854}`,
 		`{"unknown":1}`,
 		`[`,
 	} {
@@ -118,6 +152,10 @@ func FuzzCampaignRequest(f *testing.F) {
 		}
 		if rerr == nil && cells > maxMatrixCells {
 			t.Fatalf("resolved a %d-cell matrix, cap %d", cells, maxMatrixCells)
+		}
+		if d := time.Duration(req.TimeoutMs) * time.Millisecond; rerr == nil && req.TimeoutMs > 0 &&
+			(d <= 0 || d/time.Millisecond != time.Duration(req.TimeoutMs)) {
+			t.Fatalf("accepted timeout_ms %d, whose duration overflows to %v", req.TimeoutMs, d)
 		}
 		raw, err := json.Marshal(&req)
 		if err != nil {

@@ -22,7 +22,9 @@
 // one that outlives its deadline (the request's timeout_ms field or the
 // server's -request-timeout) is answered 504 deadline_exceeded. Either
 // way the run stops cold work cooperatively and the cache tree stays
-// consistent. Handler panics are recovered into 500 internal_panic.
+// consistent. A timeout_ms too large for a time.Duration is refused up
+// front with 400 bad_timeout. Handler panics are recovered into 500
+// internal_panic.
 package server
 
 import (
@@ -31,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -560,7 +563,7 @@ func (req *AnalyzeRequest) matrix() (campaign.Matrix, *requestError) {
 	}
 	m, rerr := (&CampaignRequest{
 		Workloads: []string{req.Workload}, Platforms: []string{req.Platform},
-		Full: req.Full, Runs: req.Runs, Iterations: req.Iterations,
+		Full: req.Full, Runs: req.Runs, Iterations: req.Iterations, TimeoutMs: req.TimeoutMs,
 	}).matrix()
 	if rerr == nil && req.Seed != nil {
 		m.Workloads[0].Options.Seed = *req.Seed
@@ -568,10 +571,20 @@ func (req *AnalyzeRequest) matrix() (campaign.Matrix, *requestError) {
 	return m, rerr
 }
 
-// matrix resolves a campaign request into the matrix it runs. The cell
+// maxTimeoutMs is the largest timeout_ms whose time.Duration does not
+// overflow; a larger one would wrap to a negative deadline and time the
+// request out before it ran.
+const maxTimeoutMs = math.MaxInt64 / int64(time.Millisecond)
+
+// matrix resolves a campaign request into the matrix it runs. A
+// timeout_ms past maxTimeoutMs is refused with 400 bad_timeout. The cell
 // count is checked against maxMatrixCells from the request's lengths
 // alone, before any name is resolved or any seed list is built.
 func (req *CampaignRequest) matrix() (campaign.Matrix, *requestError) {
+	if int64(req.TimeoutMs) > maxTimeoutMs {
+		return campaign.Matrix{}, &requestError{http.StatusBadRequest, "bad_timeout",
+			fmt.Sprintf("timeout_ms %d exceeds %d", req.TimeoutMs, maxTimeoutMs)}
+	}
 	names := req.Workloads
 	if len(names) == 0 {
 		for _, spec := range experiments.Specs() {

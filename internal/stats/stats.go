@@ -67,13 +67,7 @@ func (s *Sample) Max() float64 {
 
 // CI95 returns the half-width of the normal-approximation 95 % confidence
 // interval of the mean. For n < 2 it returns 0.
-func (s *Sample) CI95() float64 {
-	n := len(s.xs)
-	if n < 2 {
-		return 0
-	}
-	return 1.96 * s.Stddev() / math.Sqrt(float64(n))
-}
+func (s *Sample) CI95() float64 { return CI95(s.xs) }
 
 // Percentile returns the p-quantile (0 ≤ p ≤ 1) by linear interpolation
 // between closest ranks. It returns NaN for an empty sample.
@@ -131,6 +125,17 @@ func Stddev(xs []float64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(n-1))
+}
+
+// CI95 returns the half-width of the normal-approximation 95 %
+// confidence interval of the mean of xs. For fewer than two
+// observations it returns 0.
+func CI95(xs []float64) float64 {
+	n := len(xs)
+	if n < 2 {
+		return 0
+	}
+	return 1.96 * Stddev(xs) / math.Sqrt(float64(n))
 }
 
 // GeoMean returns the geometric mean of xs. All values must be positive;

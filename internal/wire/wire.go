@@ -251,10 +251,16 @@ func (d *Decoder) I64() int64 { return int64(d.U64()) }
 func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // Str consumes a length-prefixed string.
-func (d *Decoder) Str() string {
+func (d *Decoder) Str() string { return string(d.StrBytes()) }
+
+// StrBytes consumes a length-prefixed string like Str but returns its
+// bytes without copying them: the slice aliases the decoder's buffer,
+// so a caller that keeps the bytes copies them (a codec gathering many
+// strings into one allocation does exactly that).
+func (d *Decoder) StrBytes() []byte {
 	n := d.U32()
 	if d.Fits(uint64(n), 1) != nil {
-		return ""
+		return nil
 	}
-	return string(d.take(int(n)))
+	return d.take(int(n))
 }

@@ -193,3 +193,28 @@ func TestBoolRejectsNonCanonicalBytes(t *testing.T) {
 		t.Fatal("byte 2 decoded as a bool")
 	}
 }
+
+// TestStrBytesAliasesBuffer: StrBytes reads the same string Str would,
+// without copying it, and a length prefix past the end latches an error
+// instead of returning bytes.
+func TestStrBytesAliasesBuffer(t *testing.T) {
+	var e Encoder
+	e.Str("label")
+	e.Str("next")
+	buf := e.Seal()
+	d := NewDecoder(buf)
+	b := d.StrBytes()
+	if string(b) != "label" || &b[0] != &buf[4] {
+		t.Fatalf("StrBytes = %q, want the aliased bytes of %q", b, "label")
+	}
+	if got := d.Str(); got != "next" {
+		t.Fatalf("Str after StrBytes = %q, want %q", got, "next")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { NewDecoder(buf).StrBytes() }); allocs != 0 {
+		t.Errorf("StrBytes makes %.0f allocations, want 0", allocs)
+	}
+	d = NewDecoder([]byte{9, 0, 0, 0, 'x'})
+	if b := d.StrBytes(); b != nil || d.Err() == nil {
+		t.Errorf("truncated StrBytes = %q, err %v; want nil and an error", b, d.Err())
+	}
+}

@@ -21,7 +21,13 @@ type Rand struct {
 // New returns a generator seeded with seed. Two generators with the same
 // seed produce identical streams.
 func New(seed uint64) *Rand {
-	r := &Rand{inc: 0xda3e39cb94b95bdb | 1}
+	r := seeded(seed)
+	return &r
+}
+
+// seeded returns the generator New(seed) points to, by value.
+func seeded(seed uint64) Rand {
+	r := Rand{inc: 0xda3e39cb94b95bdb | 1}
 	r.state = splitmix(&seed)
 	r.state += splitmix(&seed)
 	r.Uint64()
@@ -42,8 +48,16 @@ func splitmix(state *uint64) uint64 {
 // from the parent and the child do not overlap in practice; Split is how
 // subsystems (sampler, workload data, run noise) get private streams.
 func (r *Rand) Split(label uint64) *Rand {
-	s := r.Uint64() ^ (label * 0x9e3779b97f4a7c15)
-	return New(s)
+	c := r.SplitValue(label)
+	return &c
+}
+
+// SplitValue is Split returning the child by value: it advances r
+// exactly as Split does and the child's stream is the same, so a caller
+// holding many children can keep them in one slice instead of one heap
+// object each.
+func (r *Rand) SplitValue(label uint64) Rand {
+	return seeded(r.Uint64() ^ (label * 0x9e3779b97f4a7c15))
 }
 
 // Uint64 returns the next 64 pseudo-random bits.

@@ -131,3 +131,20 @@ func TestShuffleKeepsMultiset(t *testing.T) {
 		t.Errorf("shuffle changed multiset: sum %d != %d", got, sum)
 	}
 }
+
+// TestSplitValueMatchesSplit: the by-value split advances the parent
+// exactly as Split does and yields the same child stream.
+func TestSplitValueMatchesSplit(t *testing.T) {
+	a, b := New(23), New(23)
+	for label := uint64(0); label < 8; label++ {
+		pc, vc := a.Split(label), b.SplitValue(label)
+		for i := 0; i < 16; i++ {
+			if pc.Uint64() != vc.Uint64() {
+				t.Fatalf("label %d: streams diverge at draw %d", label, i)
+			}
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("parents diverged after splitting")
+	}
+}
