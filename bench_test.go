@@ -16,6 +16,7 @@ import (
 	"math/bits"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -1330,6 +1331,50 @@ func BenchmarkDaemonWarmServe(b *testing.B) {
 	b.ReportMetric(rep.P50Ms, "p50-ms")
 	b.ReportMetric(rep.P95Ms, "p95-ms")
 	b.ReportMetric(rep.P99Ms, "p99-ms")
+}
+
+// BenchmarkWarmAnalyzeAllocs gates the allocations of one warm POST
+// /v1/analyze through the daemon's handler, driven in-process by an
+// httptest request and recorder: counts, never timings. npb.mg is keyed
+// by its options alone; kwave's GroupBy policy is keyed over its
+// capture's sites, so its warm request also resolves the snapshot. On
+// Go 1.24 the requests make 86 and 151 allocations; with encoding/json
+// responses and the snapshot ID and site groups rebuilt per request
+// they made 103 and 245. The limits sit between the two, leaving room
+// for net/http and httptest to allocate differently on other
+// toolchains.
+func BenchmarkWarmAnalyzeAllocs(b *testing.B) {
+	for _, c := range []struct {
+		workload string
+		limit    float64
+	}{{"npb.mg", 96}, {"kwave", 190}} {
+		b.Run(c.workload, func(b *testing.B) {
+			s, err := server.New(server.Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			h := s.Handler()
+			body := `{"workload":"` + c.workload + `"}`
+			serve := func() {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+				}
+			}
+			serve() // cold: fills the flight group
+			allocs := testing.AllocsPerRun(50, serve)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
+			}
+			b.ReportMetric(allocs, "allocs/req")
+			if allocs > c.limit {
+				b.Errorf("a warm %s request makes %.0f allocations, want <= %.0f", c.workload, allocs, c.limit)
+			}
+		})
+	}
 }
 
 // BenchmarkShardedCampaign prices the crash-safe shard coordinator:

@@ -215,7 +215,8 @@ type Engine struct {
 // capture is one distinct reference run the matrix needs.
 type capture struct {
 	key         trace.SnapshotKey
-	id          string // "cap/" + key.ID(): the flight key, hashed once
+	keyID       string // key.ID(), hashed once
+	id          string // "cap/" + keyID: the flight key
 	factory     workloads.Factory
 	opts        core.Options
 	snap        *trace.Snapshot
@@ -307,7 +308,7 @@ func (e *Engine) RunContext(ctx context.Context, m Matrix) (*Result, error) {
 				id := key.ID()
 				c, ok := caps[id]
 				if !ok {
-					c = &capture{key: key, id: "cap/" + id, factory: w.Factory, opts: opts}
+					c = &capture{key: key, keyID: id, id: "cap/" + id, factory: w.Factory, opts: opts}
 					caps[id] = c
 				}
 				capOf = append(capOf, c)
@@ -529,7 +530,7 @@ func keyCell(cell *Cell, w *cellWork, rc *core.ReplayContext) {
 	if rc != nil {
 		sites = rc.Sites()
 	}
-	if key, err := core.AnalysisKeyFor(cell.Workload, cell.Options, sites); err == nil {
+	if key, err := core.AnalysisKeyOf(cell.Workload, w.cap.keyID, cell.Options, sites); err == nil {
 		w.key, w.id, w.haveKey = key, "an/"+key.ID(), true
 	}
 }

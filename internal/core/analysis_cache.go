@@ -79,10 +79,18 @@ func (k AnalysisKey) ID() string {
 // (ReplayContext.Sites); passing nil sites with a non-nil GroupBy is an
 // error rather than a silently unstable key.
 func AnalysisKeyFor(workload string, opts Options, sites []shim.SiteGroup) (AnalysisKey, error) {
+	return AnalysisKeyOf(workload, SnapshotKeyFor(workload, opts).ID(), opts, sites)
+}
+
+// AnalysisKeyOf is AnalysisKeyFor for a caller that already holds the
+// capture's snapshot ID, SnapshotKeyFor(workload, opts).ID(): the
+// campaign engine hashes it once per capture and keys every cell of the
+// capture from it instead of hashing it again per cell.
+func AnalysisKeyOf(workload, snapshotID string, opts Options, sites []shim.SiteGroup) (AnalysisKey, error) {
 	o := opts.withDefaults()
 	key := AnalysisKey{
 		Workload:   workload,
-		SnapshotID: SnapshotKeyFor(workload, opts).ID(),
+		SnapshotID: snapshotID,
 		PlatformFP: o.Platform.Fingerprint(),
 	}
 	h := fnv.New64a()

@@ -36,6 +36,9 @@ type ReplayContext struct {
 	al   *shim.Allocator
 	tr   *trace.Trace
 
+	sitesOnce sync.Once
+	sites     []shim.SiteGroup
+
 	countsOnce sync.Once
 	counts     *ibs.CountTable // validated once, shared by every platform
 	countsErr  error
@@ -83,8 +86,13 @@ func (c *ReplayContext) Workload() string { return c.snap.Meta.Workload }
 
 // Sites returns the capture's allocation site groups in first-appearance
 // order — the input AnalysisKeyFor needs to fingerprint a GroupBy
-// policy's effect on this capture.
-func (c *ReplayContext) Sites() []shim.SiteGroup { return c.al.Sites() }
+// policy's effect on this capture. The restored registry never changes,
+// so the groups are built on first use and every later call returns the
+// same slice, which callers must treat as read-only.
+func (c *ReplayContext) Sites() []shim.SiteGroup {
+	c.sitesOnce.Do(func() { c.sites = c.al.Sites() })
+	return c.sites
+}
 
 // countTable returns the capture's validated count table — the
 // platform-independent half of report reconstruction — building it on

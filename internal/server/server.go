@@ -24,7 +24,8 @@
 // way the run stops cold work cooperatively and the cache tree stays
 // consistent. A timeout_ms too large for a time.Duration is refused up
 // front with 400 bad_timeout. Handler panics are recovered into 500
-// internal_panic.
+// internal_panic, and a response that cannot be encoded (a NaN or
+// infinite float) is answered 500 encode_failed.
 package server
 
 import (
@@ -241,15 +242,34 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code, msg string)
 	_ = json.NewEncoder(w).Encode(&e)
 }
 
+// writeJSON answers 200 with v encoded by encoding/json, indented; the
+// run-serving endpoints use the append encoder instead (encode.go).
 func (s *Server) writeJSON(w http.ResponseWriter, endpoint string, v any) {
 	start := time.Now()
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		// Headers are gone; all that is left is to count it.
-		s.met.errors.Inc("encode_failed")
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		body = append(body, '\n')
+	}
+	s.writeBody(w, endpoint, start, body, err)
+}
+
+// writeBody answers 200 with a response body encoded since start, in
+// one Write. Nothing has been written when encoding fails, so a body
+// that could not be encoded (a NaN or infinite float) is answered 500
+// encode_failed instead, counted in hmptd_request_errors_total like
+// every error.
+func (s *Server) writeBody(w http.ResponseWriter, endpoint string, start time.Time, body []byte, err error) {
+	if err != nil {
 		s.log.Printf("hmptd: encoding %s response: %v", endpoint, err)
+		s.writeError(w, http.StatusInternalServerError, "encode_failed",
+			fmt.Sprintf("encoding the %s response: %v", endpoint, err))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	if _, err := w.Write(body); err != nil {
+		// The client is gone; all that is left is to count it.
+		s.met.errors.Inc("encode_failed")
+		s.log.Printf("hmptd: writing %s response: %v", endpoint, err)
 		return
 	}
 	s.met.stageSec.Observe("encode", time.Since(start).Seconds())
@@ -492,10 +512,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, "analysis_failed", cell.Err.Error())
 		return
 	}
-	s.writeJSON(w, "/v1/analyze", AnalyzeResponse{
-		Result:   cellResult(cell),
-		Counters: runCounters(res),
-	})
+	out := AnalyzeResponse{Result: cellResult(cell), Counters: runCounters(res)}
+	start := time.Now()
+	body, err := encodeAnalyzeResponse(&out)
+	s.writeBody(w, "/v1/analyze", start, body, err)
 }
 
 // CampaignRequest is the body of POST /v1/campaign: a matrix of
@@ -538,7 +558,9 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	for i := range res.Cells {
 		out.Cells = append(out.Cells, cellResult(&res.Cells[i]))
 	}
-	s.writeJSON(w, "/v1/campaign", out)
+	start := time.Now()
+	body, err := encodeCampaignResponse(&out)
+	s.writeBody(w, "/v1/campaign", start, body, err)
 }
 
 // maxMatrixCells caps the cells one request may ask for. The largest

@@ -317,41 +317,42 @@ func (l *LU) sweep(fwd bool) {
 				}
 			}
 		})
-		// blts/buts: relax the plane using already-updated neighbours in
-		// the sweep direction (chaotic within the plane across threads,
-		// which preserves convergence for this diagonally dominant A).
-		parallel.For(l.env.ExecThreads(), n-2, func(_, lo, hi int) {
-			for jj := lo; jj < hi; jj++ {
-				j := jj + 1
-				for i := 1; i < n-1; i++ {
-					idx := g.Idx(i, j, k)
-					var nb npbcommon.Vec5
-					var in, jn, kn int
-					if fwd {
-						in, jn, kn = g.Idx(i-1, j, k), g.Idx(i, j-1, k), g.Idx(i, j, k-1)
-					} else {
-						in, jn, kn = g.Idx(i+1, j, k), g.Idx(i, j+1, k), g.Idx(i, j, k+1)
-					}
-					for c := 0; c < 5; c++ {
-						nb[c] = rsd[in*5+c] + rsd[jn*5+c] + rsd[kn*5+c]
-					}
-					// L (or U) off-diagonal blocks are −κC.
-					cnb := l.cmat.MulVec(&nb)
-					var v npbcommon.Vec5
-					for c := 0; c < 5; c++ {
-						v[c] = rsd[idx*5+c] + kappa*cnb[c]*0.5
-					}
-					// Apply the plane jacobian (scaled D⁻¹).
-					p := (j*n + i) * 25
-					var blk npbcommon.Mat5
-					copy(blk[:], jac[p:p+25])
-					res := blk.MulVec(&v)
-					for c := 0; c < 5; c++ {
-						rsd[idx*5+c] = res[c]
-					}
+		// blts/buts: relax the plane serially, using the neighbours
+		// already updated in the sweep direction — Gauss–Seidel order.
+		// Each point reads rows j∓1 of rsd that the same plane writes,
+		// so splitting rows across workers would race and make the
+		// result depend on scheduling; serial, it is the same for any
+		// ExecThreads. An in-plane wavefront would need a fork-join per
+		// diagonal, thousands per run at these plane sizes.
+		for j := 1; j < n-1; j++ {
+			for i := 1; i < n-1; i++ {
+				idx := g.Idx(i, j, k)
+				var nb npbcommon.Vec5
+				var in, jn, kn int
+				if fwd {
+					in, jn, kn = g.Idx(i-1, j, k), g.Idx(i, j-1, k), g.Idx(i, j, k-1)
+				} else {
+					in, jn, kn = g.Idx(i+1, j, k), g.Idx(i, j+1, k), g.Idx(i, j, k+1)
+				}
+				for c := 0; c < 5; c++ {
+					nb[c] = rsd[in*5+c] + rsd[jn*5+c] + rsd[kn*5+c]
+				}
+				// L (or U) off-diagonal blocks are −κC.
+				cnb := l.cmat.MulVec(&nb)
+				var v npbcommon.Vec5
+				for c := 0; c < 5; c++ {
+					v[c] = rsd[idx*5+c] + kappa*cnb[c]*0.5
+				}
+				// Apply the plane jacobian (scaled D⁻¹).
+				p := (j*n + i) * 25
+				var blk npbcommon.Mat5
+				copy(blk[:], jac[p:p+25])
+				res := blk.MulVec(&v)
+				for c := 0; c < 5; c++ {
+					rsd[idx*5+c] = res[c]
 				}
 			}
-		})
+		}
 	}
 	cells := units.Bytes(g.Cells() * 8)
 	// The jacobian plane is rebuilt for every k but stays L3-resident

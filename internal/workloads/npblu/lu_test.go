@@ -1,6 +1,8 @@
 package npblu
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"hmpt/internal/workloads"
@@ -18,6 +20,42 @@ func TestLUConverges(t *testing.T) {
 	t.Logf("error norms: %v", l.ErrNorms())
 	if err := l.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLUThreadCountInvariant: LU's error norms are bit-identical for
+// any execution thread count. GOMAXPROCS is raised so that 2 and 4
+// workers really run, even on a host with fewer CPUs; under -race this
+// is also the test that catches a parallel loop reading rows another
+// worker writes.
+func TestLUThreadCountInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var want []float64
+	for _, threads := range []int{1, 2, 4} {
+		l := &LU{Cfg: Config{RealN: 16, PaperN: 408, Iters: 4}}
+		env := workloads.NewEnv(threads, 1, 5)
+		if got := env.ExecThreads(); got != threads {
+			t.Fatalf("ExecThreads = %d, want %d", got, threads)
+		}
+		if err := l.Setup(env); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Run(env); err != nil {
+			t.Fatal(err)
+		}
+		got := l.ErrNorms()
+		if want == nil {
+			want = got
+			continue
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d threads: %d norms, want %d", threads, len(got), len(want))
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("%d threads: norm %d = %v, want %v (1 thread)", threads, i, got[i], want[i])
+			}
+		}
 	}
 }
 
