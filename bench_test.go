@@ -1338,16 +1338,15 @@ func BenchmarkDaemonWarmServe(b *testing.B) {
 // httptest request and recorder: counts, never timings. npb.mg is keyed
 // by its options alone; kwave's GroupBy policy is keyed over its
 // capture's sites, so its warm request also resolves the snapshot. On
-// Go 1.24 the requests make 86 and 151 allocations; with encoding/json
-// responses and the snapshot ID and site groups rebuilt per request
-// they made 103 and 245. The limits sit between the two, leaving room
-// for net/http and httptest to allocate differently on other
-// toolchains.
+// Go 1.24 the requests make 74 and 89 allocations; when the identity
+// hash converted every hashed string to a fresh []byte they made 86 and
+// 151. The limits sit between the two, leaving room for net/http and
+// httptest to allocate differently on other toolchains.
 func BenchmarkWarmAnalyzeAllocs(b *testing.B) {
 	for _, c := range []struct {
 		workload string
 		limit    float64
-	}{{"npb.mg", 96}, {"kwave", 190}} {
+	}{{"npb.mg", 84}, {"kwave", 125}} {
 		b.Run(c.workload, func(b *testing.B) {
 			s, err := server.New(server.Config{})
 			if err != nil {

@@ -10,7 +10,7 @@
 //	             [-ibs-period N] [-ibs-max-samples N] [-iters N]
 //	hmpt plan <workload> -budget <bytes, e.g. 16GB> [-full]
 //	hmpt campaign [-workloads a,b|all] [-platforms xeonmax,dual] [-seeds N|1,2]
-//	              [-runs N] [-cache DIR] [-analysis-cache DIR] [-par N]
+//	              [-runs N] [-cache DIR] [-analysis-cache DIR] [-workers N]
 //	              [-full] [-csv] [-ibs-period N] [-ibs-max-samples N] [-iters N]
 //	              [-shard-dir DIR [-shard-merge|-shard-plan] [-shard-id S]
 //	               [-shard-ttl D] [-shard-heartbeat D] [-shard-poll D]
@@ -104,8 +104,7 @@ func campaignCmd(args []string) error {
 	runs := fs.Int("runs", 0, "measured runs per configuration (0 = spec default)")
 	cacheDir := fs.String("cache", "", "snapshot cache directory (empty = no disk cache)")
 	analysisDir := fs.String("analysis-cache", "", "analysis cache directory (empty = <cache>/analyses when -cache is set, else no analysis cache)")
-	par := fs.Int("par", 0, "campaign worker goroutines (0 = GOMAXPROCS)")
-	workers := fs.Int("workers", 0, "alias for -par; takes precedence when both are set")
+	workers := fs.Int("workers", 0, "campaign worker goroutines (0 = GOMAXPROCS)")
 	full := fs.Bool("full", false, "full-size workload instances (slower)")
 	csv := fs.Bool("csv", false, "emit CSV instead of a table")
 	ibsPeriod := fs.Int64("ibs-period", 0, "IBS sampling period in cache lines (0 = default 64Ki); part of the snapshot cache key")
@@ -153,9 +152,6 @@ func campaignCmd(args []string) error {
 			}
 		}
 	}
-	if *workers > 0 {
-		*par = *workers
-	}
 
 	if *shardDir != "" {
 		switch {
@@ -169,7 +165,7 @@ func campaignCmd(args []string) error {
 			fmt.Printf("shard plan: %d cells, manifest %.12s at %s\n", man.Cells, man.ID, *shardDir)
 			return nil
 		default:
-			eng, err := buildCampaignEngine(*cacheDir, *analysisDir, *par)
+			eng, err := buildCampaignEngine(*cacheDir, *analysisDir, *workers)
 			if err != nil {
 				return err
 			}
@@ -184,7 +180,7 @@ func campaignCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	eng, err := buildCampaignEngine(*cacheDir, *analysisDir, *par)
+	eng, err := buildCampaignEngine(*cacheDir, *analysisDir, *workers)
 	if err != nil {
 		return err
 	}

@@ -30,7 +30,6 @@ import (
 	"hmpt/internal/core"
 	"hmpt/internal/fsatomic"
 	"hmpt/internal/memsim"
-	"hmpt/internal/shard"
 	"hmpt/internal/trace"
 	"hmpt/internal/workloads"
 
@@ -180,18 +179,6 @@ func CollectCaches(opts CacheGCOptions) (*CacheGCReport, error) { return cachegc
 // rung's publisher is in degraded mode; campaigns absorb it (the
 // computed value is still served) and the rung re-probes on its own.
 var ErrCacheDegraded = fsatomic.ErrDegraded
-
-// ShardLeaseReclaims returns the number of expired shard work leases
-// this process has torn down and taken over from dead or stalled
-// peers — each one a crash the sharded-campaign fleet absorbed. See
-// internal/shard and `hmpt campaign -shard-dir`.
-func ShardLeaseReclaims() int64 { return shard.LeasesReclaimed() }
-
-// ShardJournalSkips returns the number of campaign cells this process
-// found already journaled-complete by another shard worker (or a
-// previous run) and therefore never recomputed — the resumability
-// counter of sharded execution.
-func ShardJournalSkips() int64 { return shard.JournalSkips() }
 
 // NewFlightGroup returns an empty single-flight group to share across
 // engines: N concurrent runs needing the same capture or analysis

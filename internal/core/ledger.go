@@ -5,7 +5,8 @@ import (
 	"sync/atomic"
 )
 
-// Event is one kind of pipeline work a Ledger counts.
+// Event is one kind of work a Ledger counts: pipeline work first, then
+// the shard coordination events a shard worker counts on its own ledger.
 type Event int
 
 const (
@@ -17,6 +18,14 @@ const (
 	SeedDerivation               // a Derivation across seeds (also counted as a Derivation)
 	Coalesced                    // a computation served from another caller's flight entry
 	RecoveredPanic               // a panic recovered inside a campaign computation
+
+	LeaseAcquired  // a shard lease claimed, fresh or reclaimed
+	LeaseRenewal   // a shard lease heartbeat renewal
+	LeaseReclaim   // an expired or unparseable shard lease taken over
+	CellJournaled  // a shard cell's completion record published
+	JournalSkip    // a shard cell found journaled by someone else
+	JournalInvalid // a journal record that failed validation, read as incomplete
+	CellFailure    // a failed shard cell attempt
 	numEvents
 )
 
@@ -43,7 +52,15 @@ func (l *Ledger) Add(e Event) {
 	}
 }
 
-// Work returns the ledger's counts so far.
+// Count returns the ledger's count of e so far.
+func (l *Ledger) Count(e Event) int64 {
+	if l == nil {
+		return 0
+	}
+	return l.n[e].Load()
+}
+
+// Work returns the ledger's pipeline counts so far.
 func (l *Ledger) Work() Work {
 	if l == nil {
 		return Work{}
@@ -60,7 +77,8 @@ func (l *Ledger) Work() Work {
 	}
 }
 
-// Work is a plain copy of a ledger's counts, one field per Event.
+// Work is a plain copy of a ledger's pipeline counts, one field per
+// pipeline Event.
 type Work struct {
 	Kernels          int64 `json:"kernels"`
 	SamplePasses     int64 `json:"sample_passes"`

@@ -54,3 +54,28 @@ func TestLedgerTravelsOnContext(t *testing.T) {
 		t.Error("LedgerFrom invented a ledger")
 	}
 }
+
+// TestLedgerCountReadsEveryEvent: Count reads any event on the ledger
+// and its ancestors, shard events stay out of Work (whose fields are
+// the pipeline's), and a nil ledger counts zero.
+func TestLedgerCountReadsEveryEvent(t *testing.T) {
+	t.Parallel()
+	root := NewLedger(nil)
+	leaf := NewLedger(root)
+	leaf.Add(Kernel)
+	leaf.Add(LeaseAcquired)
+	leaf.Add(LeaseAcquired)
+	leaf.Add(CellFailure)
+	for _, l := range []*Ledger{leaf, root} {
+		if got := [...]int64{l.Count(Kernel), l.Count(LeaseAcquired), l.Count(CellFailure), l.Count(JournalSkip)}; got != [...]int64{1, 2, 1, 0} {
+			t.Errorf("counts %v, want [1 2 1 0]", got)
+		}
+		if got, want := l.Work(), (Work{Kernels: 1}); got != want {
+			t.Errorf("work %+v, want %+v", got, want)
+		}
+	}
+	var none *Ledger
+	if none.Count(LeaseAcquired) != 0 {
+		t.Error("nil ledger counted")
+	}
+}

@@ -117,9 +117,10 @@ func NewReplay(snap *trace.Snapshot, opts Options) *Tuner {
 // NewContextReplay returns a tuner that analyses the context's capture
 // through the shared replay environment: the registry, trace, sampling
 // report and compiled evaluators come from the context instead of being
-// re-derived per replay. The analysis is byte-identical to NewReplay of
-// the same snapshot and options; the snapshot-validation rules are
-// identical too.
+// re-derived per replay. NewReplay runs the same path through a private
+// context, so the analysis is byte-identical to NewReplay of the same
+// snapshot and options, and the snapshot-validation rules are identical
+// too.
 func NewContextReplay(ctx *ReplayContext, opts Options) *Tuner {
 	t := NewReplay(ctx.snap, opts)
 	t.ctx = ctx
@@ -200,16 +201,15 @@ func (t *Tuner) reference(ctx context.Context, envSeed uint64) (*shim.Allocator,
 		return nil, nil, fmt.Errorf("core: snapshot of %q records env seed %#x, expected %#x (corrupted or cross-version snapshot)",
 			m.Workload, m.EnvSeed, envSeed)
 	}
-	// A shared context already restored the registry and copied the
-	// trace once for every replay of this capture.
-	if t.ctx != nil {
-		return t.ctx.al, t.ctx.tr, nil
+	// Every replay runs through a ReplayContext: the shared one of
+	// NewContextReplay, or a private one built here on first use. Either
+	// way the registry is restored and the trace copied once.
+	if t.ctx == nil {
+		c, err := NewContext(snap)
+		if err != nil {
+			return nil, nil, err
+		}
+		t.ctx = c
 	}
-	al, err := shim.Restore(snap.Registry)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: restoring %q registry: %w", m.Workload, err)
-	}
-	// Deep-copy the trace (phases and their stream slices) so concurrent
-	// replays of one shared snapshot never alias mutable state.
-	return al, copyTrace(snap.Trace), nil
+	return t.ctx.al, t.ctx.tr, nil
 }

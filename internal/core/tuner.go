@@ -217,13 +217,14 @@ type Tuner struct {
 	opts Options
 	w    workloads.Workload // nil when replaying a snapshot via NewReplay
 	name string
-	// ctx is the shared replay environment when the tuner was built by
-	// NewContextReplay: registry, trace, sampling report and compiled
-	// evaluators come from it instead of being re-derived per replay.
+	// ctx is the replay environment of a snapshot replay: the shared one
+	// NewContextReplay attached, or a private one reference builds on
+	// first use. Registry, trace, sampling report and compiled
+	// evaluators come from it. Nil for a live run.
 	ctx *ReplayContext
 	// platformFP is the platform's content fingerprint, computed once
-	// per analysis (in analyze, only when ctx is set) and reused by
-	// every context-memo lookup of the run.
+	// per snapshot replay (in analyze) and reused by every context-memo
+	// lookup of the run.
 	platformFP string
 }
 
@@ -262,7 +263,7 @@ func (t *Tuner) analyze(ctx context.Context, engine bool) (*Analysis, error) {
 	o := t.opts
 	p := o.Platform
 	machine := memsim.NewMachine(p)
-	if t.ctx != nil {
+	if o.Snapshot != nil {
 		t.platformFP = p.Fingerprint()
 	}
 	rng := xrand.New(o.Seed)
@@ -381,13 +382,10 @@ func (t *Tuner) sampleReport(ctx context.Context, tr *trace.Trace, al *shim.Allo
 
 	if snap := t.opts.Snapshot; snap != nil && snap.Samples != nil &&
 		snap.Samples.SamplerVersion == ibs.SamplerVersion {
-		if t.ctx != nil {
-			// Shared context: the reconstruction is memoised per
-			// platform, so cells of one platform share one report.
-			return t.ctx.report(ctx, t.platformFP, machine, allDDR)
-		}
-		LedgerFrom(ctx).Add(CountWalk)
-		return ibs.ReportFromCounts(snap.Samples, tr, al, machine, allDDR)
+		// The replay's context (reference attached it) validates the
+		// counts once and memoises the report per platform, so cells of
+		// one platform share one report.
+		return t.ctx.report(ctx, t.platformFP, machine, allDDR)
 	}
 	LedgerFrom(ctx).Add(SamplePass)
 	sampler := t.opts.sampler()

@@ -10,26 +10,64 @@
 package fsatomic
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"hmpt/internal/faultfs"
 )
 
-// Publish atomically writes data to path. The temporary file is created
-// in path's directory (renames across filesystems are not atomic) with a
-// unique name, so concurrent publishers never collide on the staging
-// file; on any failure the staging file is removed and the destination
-// is untouched.
-func Publish(path string, data []byte) error {
+// PublishFS atomically writes data to path through fs (nil means the
+// real filesystem), so a faultfs.Injector can exercise each failure
+// point. Any number of concurrent publishers may race on one path: the
+// last rename wins whole.
+func PublishFS(fs faultfs.FS, path string, data []byte) error {
+	return publish(fs, path, data, func(fs faultfs.FS, tmp, path string) error {
+		if err := fs.Rename(tmp, path); err != nil {
+			return fmt.Errorf("fsatomic: publishing %s: %w", filepath.Base(path), err)
+		}
+		return nil
+	})
+}
+
+// PublishExclusiveFS atomically creates path with the given content,
+// failing with an os.IsExist error when path already exists — the
+// claim half of the shard lease protocol. The final step is a hard link
+// instead of a rename: link(2) is atomic and refuses to replace an
+// existing name, so of any number of concurrent claimants (goroutines
+// or separate processes) exactly one wins and every loser observes the
+// EEXIST.
+func PublishExclusiveFS(fs faultfs.FS, path string, data []byte) error {
+	return publish(fs, path, data, func(fs faultfs.FS, tmp, path string) error {
+		err := fs.Link(tmp, path)
+		if err == nil || os.IsExist(err) || errors.Is(err, os.ErrExist) {
+			// Not wrapped in a message: callers branch on IsExist to
+			// tell "lost the claim race" from a real failure.
+			return err
+		}
+		return fmt.Errorf("fsatomic: claiming %s: %w", filepath.Base(path), err)
+	})
+}
+
+// publish stages data in a uniquely named temporary file in path's
+// directory (renames and links across filesystems are not atomic), so
+// concurrent publishers never collide on the staging file, then moves
+// it into place with place. The staging name is always removed: on any
+// failure the destination is untouched and nothing is left behind.
+func publish(fs faultfs.FS, path string, data []byte, place func(fs faultfs.FS, tmp, path string) error) error {
+	if fs == nil {
+		fs = faultfs.OS
+	}
 	dir, base := filepath.Split(path)
 	if dir == "" {
 		dir = "."
 	}
-	tmp, err := os.CreateTemp(dir, "."+base+".tmp*")
+	tmp, err := fs.CreateTemp(dir, "."+base+".tmp*")
 	if err != nil {
 		return fmt.Errorf("fsatomic: staging %s: %w", base, err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	defer fs.Remove(tmp.Name()) // a no-op after a rename, drops the extra name after a link
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		return fmt.Errorf("fsatomic: writing %s: %w", base, err)
@@ -37,8 +75,5 @@ func Publish(path string, data []byte) error {
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("fsatomic: writing %s: %w", base, err)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("fsatomic: publishing %s: %w", base, err)
-	}
-	return nil
+	return place(fs, tmp.Name(), path)
 }

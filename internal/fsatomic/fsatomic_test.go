@@ -13,10 +13,10 @@ import (
 func TestPublishBasics(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "entry.bin")
-	if err := Publish(path, []byte("one")); err != nil {
+	if err := PublishFS(nil, path, []byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	if err := Publish(path, []byte("two")); err != nil {
+	if err := PublishFS(nil, path, []byte("two")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
@@ -51,7 +51,7 @@ func TestPublishConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := Publish(path, payload(i)); err != nil {
+			if err := PublishFS(nil, path, payload(i)); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -85,7 +85,28 @@ func TestPublishConcurrent(t *testing.T) {
 func TestPublishFailureLeavesTargetIntact(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sub", "entry.bin")
-	if err := Publish(path, []byte("x")); err == nil {
+	if err := PublishFS(nil, path, []byte("x")); err == nil {
 		t.Error("publish into a missing directory succeeded, want error")
+	}
+}
+
+// TestPublishExclusiveRefusesExisting: the first exclusive publish
+// creates the file, a second one fails with an os.IsExist error and
+// leaves the first content, and neither leaves a staging file.
+func TestPublishExclusiveRefusesExisting(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "claim")
+	if err := PublishExclusiveFS(nil, path, []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if err := PublishExclusiveFS(nil, path, []byte("second")); !os.IsExist(err) {
+		t.Fatalf("second exclusive publish: %v, want an IsExist error", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil || string(got) != "first" {
+		t.Fatalf("read %q, %v; want %q", got, err, "first")
+	}
+	if n := countTemps(t, dir); n != 0 {
+		t.Errorf("%d staging files left behind", n)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -20,75 +19,6 @@ import (
 // rung absorbs it as a non-fatal store error — but it is cheap: no
 // filesystem operation is attempted.
 var ErrDegraded = errors.New("fsatomic: publisher degraded, writes suspended")
-
-// PublishFS is Publish with the filesystem abstracted: the same
-// stage-write-rename protocol, but every operation goes through fs so a
-// faultfs.Injector can exercise each failure point. Publish(path, data)
-// is PublishFS(faultfs.OS, path, data).
-func PublishFS(fs faultfs.FS, path string, data []byte) error {
-	if fs == nil {
-		fs = faultfs.OS
-	}
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	tmp, err := fs.CreateTemp(dir, "."+base+".tmp*")
-	if err != nil {
-		return fmt.Errorf("fsatomic: staging %s: %w", base, err)
-	}
-	defer fs.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("fsatomic: writing %s: %w", base, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("fsatomic: writing %s: %w", base, err)
-	}
-	if err := fs.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("fsatomic: publishing %s: %w", base, err)
-	}
-	return nil
-}
-
-// PublishExclusiveFS atomically creates path with the given content,
-// failing with an os.IsExist error when path already exists — the
-// claim half of the shard lease protocol. The content is staged like
-// PublishFS, but the final step is a hard link instead of a rename:
-// link(2) is atomic and refuses to replace an existing name, so of any
-// number of concurrent claimants (goroutines or separate processes)
-// exactly one wins and every loser observes the EEXIST. The staging
-// file is always removed.
-func PublishExclusiveFS(fs faultfs.FS, path string, data []byte) error {
-	if fs == nil {
-		fs = faultfs.OS
-	}
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	tmp, err := fs.CreateTemp(dir, "."+base+".tmp*")
-	if err != nil {
-		return fmt.Errorf("fsatomic: staging %s: %w", base, err)
-	}
-	defer fs.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("fsatomic: writing %s: %w", base, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("fsatomic: writing %s: %w", base, err)
-	}
-	if err := fs.Link(tmp.Name(), path); err != nil {
-		if os.IsExist(err) || errors.Is(err, os.ErrExist) {
-			// Not wrapped in a message: callers branch on IsExist to
-			// tell "lost the claim race" from a real failure.
-			return err
-		}
-		return fmt.Errorf("fsatomic: claiming %s: %w", base, err)
-	}
-	return nil
-}
 
 // PublisherStats counts the resilience decisions a Publisher has made.
 type PublisherStats struct {

@@ -28,21 +28,6 @@ func countTemps(t *testing.T, dir string) int {
 	return n
 }
 
-func TestPublishFSMatchesPublish(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "entry")
-	if err := PublishFS(nil, path, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil || string(b) != "payload" {
-		t.Fatalf("read back %q, %v", b, err)
-	}
-	if n := countTemps(t, dir); n != 0 {
-		t.Errorf("%d staging files left behind", n)
-	}
-}
-
 // TestPublisherAbsorbsTransientFaults: a flaky device (EIO) is retried
 // and the caller never sees the fault.
 func TestPublisherAbsorbsTransientFaults(t *testing.T) {

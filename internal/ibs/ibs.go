@@ -394,23 +394,6 @@ func (t *CountTable) Report(m *memsim.Machine, pl memsim.Placement) (*Report, er
 	return rep, nil
 }
 
-// ReportFromCounts reconstructs the report a Sample call would produce
-// from previously captured counts: ValidateCounts (the platform-
-// independent count walk and stale-embedding check) followed by
-// CountTable.Report (the per-platform latency derivation). Callers
-// reconstructing one capture against several platforms should validate
-// once and call Report per platform — what core.ReplayContext does.
-func ReportFromCounts(c *trace.SampleCounts, tr *trace.Trace, al *shim.Allocator, m *memsim.Machine, pl memsim.Placement) (*Report, error) {
-	if m == nil || pl == nil {
-		return nil, fmt.Errorf("ibs: nil argument")
-	}
-	t, err := ValidateCounts(c, tr, al)
-	if err != nil {
-		return nil, err
-	}
-	return t.Report(m, pl)
-}
-
 // sampleAgg is the dense per-allocation accumulator shared by the
 // batched engine, the reference loop and count replay.
 type sampleAgg struct {

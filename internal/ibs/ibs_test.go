@@ -292,8 +292,8 @@ func TestResolverMatchesAllocatorResolve(t *testing.T) {
 
 // TestCountsMatchSample: the platform-independent count pass agrees
 // with the full engine on every count-derived statistic, and
-// ReportFromCounts reconstructs the engine's report bitwise under a
-// whole-pool placement.
+// ValidateCounts plus CountTable.Report reconstruct the engine's report
+// bitwise under a whole-pool placement.
 func TestCountsMatchSample(t *testing.T) {
 	al, m, pl := sampleSetup(t)
 	hot := al.Register("hot", units.GB(1), 1)
@@ -334,7 +334,11 @@ func TestCountsMatchSample(t *testing.T) {
 			t.Errorf("alloc %d: counts say %d samples, engine %+v", e.ID, e.Samples, st)
 		}
 	}
-	rec, err := ReportFromCounts(counts, tr, al, m, pl)
+	table, err := ValidateCounts(counts, tr, al)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := table.Report(m, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,12 +355,12 @@ func TestCountsMatchSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReportFromCounts(staleCounts, tr, al, m, pl); err == nil {
+	if _, err := ValidateCounts(staleCounts, tr, al); err == nil {
 		t.Error("stale sample counts replayed without error")
 	}
 	bad := *counts
 	bad.SamplerVersion = SamplerVersion + 1
-	if _, err := ReportFromCounts(&bad, tr, al, m, pl); err == nil {
+	if _, err := ValidateCounts(&bad, tr, al); err == nil {
 		t.Error("cross-version sample counts replayed without error")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"hmpt/internal/faultfs"
 	"hmpt/internal/fsatomic"
 	"hmpt/internal/server/metrics"
-	"hmpt/internal/shard"
 	"hmpt/internal/trace"
 )
 
@@ -183,34 +182,6 @@ func newMetrics(s *Server) *serverMetrics {
 			}
 			return vals
 		})
-	// Sharded-execution health, process-wide: flat zeros unless this
-	// process hosts shard workers, in which case the lease churn and the
-	// journal skip/invalid counters are the fleet's crash-absorption
-	// story in four numbers.
-	reg.NewGaugeFunc("hmptd_shard_leases_active",
-		"Shard work leases this process currently holds.",
-		func() float64 { return float64(shard.ActiveLeases()) })
-	reg.NewCounterVecFunc("hmptd_shard_leases_total",
-		"Shard lease lifecycle events: acquired, renewed, released, reclaimed (expired lease taken from a dead peer), lost (reclaimed from under us), error.", "event",
-		func() map[string]float64 {
-			return map[string]float64{
-				"acquired": float64(shard.LeasesAcquired()), "renewed": float64(shard.LeaseRenewals()),
-				"released": float64(shard.LeasesReleased()), "reclaimed": float64(shard.LeasesReclaimed()),
-				"lost": float64(shard.LeasesLost()), "error": float64(shard.LeaseErrors()),
-			}
-		})
-	reg.NewCounterVecFunc("hmptd_shard_cells_total",
-		"Shard cell outcomes: journaled (completed here), skipped (found complete), failed, quarantined.", "outcome",
-		func() map[string]float64 {
-			return map[string]float64{
-				"journaled": float64(shard.CellsJournaled()), "skipped": float64(shard.JournalSkips()),
-				"failed": float64(shard.CellFailures()), "quarantined": float64(shard.CellsQuarantined()),
-			}
-		})
-	reg.NewCounterFunc("hmptd_shard_journal_invalid_total",
-		"Journal records that failed validation (torn writes, wrong campaign) and were treated as incomplete.",
-		func() float64 { return float64(shard.JournalInvalid()) })
-
 	reg.NewGaugeFunc("hmptd_draining",
 		"1 after BeginDrain: the daemon answers /readyz 503 and is winding down.",
 		func() float64 {

@@ -94,22 +94,17 @@ func (a *attempts) history(cell int) []failRecord {
 }
 
 // eligible reports whether the cell may be attempted now, given its
-// failure history (attempt count under budget and past its backoff),
-// along with when it next becomes eligible if it is not.
-func (a *attempts) eligible(history []failRecord, now time.Time) (bool, time.Time) {
+// failure history: attempt count under budget and past its backoff.
+func (a *attempts) eligible(history []failRecord, now time.Time) bool {
 	if len(history) >= a.max {
-		return false, time.Time{} // quarantine territory, never eligible
+		return false // quarantine territory, never eligible
 	}
-	var next int64
 	for _, rec := range history {
-		if rec.NextEligible > next {
-			next = rec.NextEligible
+		if now.UnixNano() < rec.NextEligible {
+			return false
 		}
 	}
-	if now.UnixNano() >= next {
-		return true, time.Time{}
-	}
-	return false, time.Unix(0, next)
+	return true
 }
 
 // recordFailure appends one failure record with doubling backoff:
@@ -137,11 +132,7 @@ func (a *attempts) recordFailure(cell int, attempt int, cellErr error, seq uint6
 		return err
 	}
 	name := fmt.Sprintf("%s-%d.fail", a.owner, seq)
-	if err := fsatomic.PublishFS(a.fs, filepath.Join(a.cellDir(cell), name), raw); err != nil {
-		return err
-	}
-	cellFailures.Add(1)
-	return nil
+	return fsatomic.PublishFS(a.fs, filepath.Join(a.cellDir(cell), name), raw)
 }
 
 // quarantine publishes the cell's terminal quarantine record. Exclusive
@@ -164,15 +155,11 @@ func (a *attempts) quarantine(ref cellRef, history []failRecord) error {
 	if err != nil {
 		return err
 	}
-	switch err := fsatomic.PublishExclusiveFS(a.fs, a.quarPath(ref.Index), append(raw, '\n')); {
-	case err == nil:
-		cellsQuarantine.Add(1)
-		return nil
-	case os.IsExist(err):
-		return nil
-	default:
-		return err
+	err = fsatomic.PublishExclusiveFS(a.fs, a.quarPath(ref.Index), append(raw, '\n'))
+	if os.IsExist(err) {
+		return nil // a racer published first; its record stands
 	}
+	return err
 }
 
 // quarantined loads the cell's quarantine record if one exists and is

@@ -52,6 +52,8 @@ type journal struct {
 	fs       faultfs.FS
 	dir      string // <shard-dir>/journal
 	manifest string
+	// ledger counts published and invalid records (nil: none).
+	ledger *core.Ledger
 }
 
 func (j *journal) path(cell int) string {
@@ -112,10 +114,10 @@ func (j *journal) complete(rec *cellRecord) error {
 		_, err = j.decode(rec.Cell, back)
 	}
 	if err != nil {
-		journalInvalid.Add(1)
+		j.ledger.Add(core.JournalInvalid)
 		return fmt.Errorf("shard: journaling %s: record unreadable after publish: %w", cellName(rec.Cell), err)
 	}
-	cellsJournaled.Add(1)
+	j.ledger.Add(core.CellJournaled)
 	return nil
 }
 
@@ -128,13 +130,13 @@ func (j *journal) load(cell int) (*cellRecord, bool) {
 	raw, err := j.fs.ReadFile(j.path(cell))
 	if err != nil {
 		if !os.IsNotExist(err) {
-			journalInvalid.Add(1)
+			j.ledger.Add(core.JournalInvalid)
 		}
 		return nil, false
 	}
 	rec, err := j.decode(cell, raw)
 	if err != nil {
-		journalInvalid.Add(1)
+		j.ledger.Add(core.JournalInvalid)
 		return nil, false
 	}
 	return rec, true

@@ -35,23 +35,23 @@ func journalTestRecord() *cellRecord {
 }
 
 // TestCompleteRejectsDamagedReadBack: a publish whose read-back differs
-// by one byte from what was written fails complete and is counted in
-// JournalInvalid, so the worker retries the cell rather than settling
-// it on a record nobody can read.
+// by one byte from what was written fails complete and is counted as a
+// JournalInvalid event, so the worker retries the cell rather than
+// settling it on a record nobody can read.
 func TestCompleteRejectsDamagedReadBack(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	flip := substituteReadFS{FS: faultfs.OS, swap: func(raw []byte) []byte {
 		return flipByte(raw, len(raw)/2)
 	}}
-	j := &journal{fs: flip, dir: dir, manifest: "manifest-a"}
-	invalid, journaled := JournalInvalid(), CellsJournaled()
+	j := &journal{fs: flip, dir: dir, manifest: "manifest-a", ledger: core.NewLedger(nil)}
 	if err := j.complete(journalTestRecord()); err == nil {
 		t.Fatal("complete accepted a damaged read-back")
 	}
-	if JournalInvalid() != invalid+1 {
-		t.Errorf("JournalInvalid advanced by %d, want 1", JournalInvalid()-invalid)
+	if n := j.ledger.Count(core.JournalInvalid); n != 1 {
+		t.Errorf("JournalInvalid counted %d, want 1", n)
 	}
-	if CellsJournaled() != journaled {
+	if j.ledger.Count(core.CellJournaled) != 0 {
 		t.Error("a failed completion was counted as journaled")
 	}
 }
@@ -60,8 +60,9 @@ func TestCompleteRejectsDamagedReadBack(t *testing.T) {
 // cell lands between this worker's publish and its read-back, the bytes
 // differ (the Owner field) but the record is valid, so the cell settles.
 func TestCompleteAcceptsPeerDuplicate(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
-	j := &journal{fs: faultfs.OS, dir: dir, manifest: "manifest-a"}
+	j := &journal{fs: faultfs.OS, dir: dir, manifest: "manifest-a", ledger: core.NewLedger(nil)}
 	peerRec := journalTestRecord()
 	peerRec.Owner = "peer"
 	peer, err := j.encode(peerRec)
@@ -69,11 +70,10 @@ func TestCompleteAcceptsPeerDuplicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.fs = substituteReadFS{FS: faultfs.OS, swap: func([]byte) []byte { return peer }}
-	invalid := JournalInvalid()
 	if err := j.complete(journalTestRecord()); err != nil {
 		t.Fatalf("complete rejected a peer's valid duplicate: %v", err)
 	}
-	if JournalInvalid() != invalid {
+	if j.ledger.Count(core.JournalInvalid) != 0 {
 		t.Error("a peer's valid duplicate was counted as invalid")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hmpt/internal/core"
 	"hmpt/internal/faultfs"
 	"hmpt/internal/fsatomic"
 )
@@ -59,10 +60,8 @@ type leaseManager struct {
 	ttl      time.Duration
 	// seq numbers this manager's failure records (attempts).
 	seq atomic.Uint64
-	// reclaimed counts this manager's expired-lease takeovers, for the
-	// worker's shard report (the package counter aggregates the
-	// process).
-	reclaimed atomic.Int64
+	// ledger counts acquisitions, renewals and reclaims (nil: none).
+	ledger *core.Ledger
 }
 
 func (lm *leaseManager) path(cell, gen int) string {
@@ -114,8 +113,7 @@ func (lm *leaseManager) tryAcquire(cell int) (*lease, error) {
 	}
 	l, err := lm.claim(cell, gen+1)
 	if l != nil && reclaim {
-		leasesReclaimed.Add(1)
-		lm.reclaimed.Add(1)
+		lm.ledger.Add(core.LeaseReclaim)
 	}
 	return l, err
 }
@@ -130,8 +128,7 @@ func (lm *leaseManager) claim(cell, gen int) (*lease, error) {
 	}
 	switch err := fsatomic.PublishExclusiveFS(lm.fs, lm.path(cell, gen), raw); {
 	case err == nil:
-		leasesAcquired.Add(1)
-		activeLeases.Add(1)
+		lm.ledger.Add(core.LeaseAcquired)
 		return l, nil
 	case os.IsExist(err):
 		return nil, nil
@@ -180,10 +177,7 @@ func (l *lease) renew() error {
 		return errLeaseLost
 	}
 	if !l.owned() {
-		if !l.lost.Swap(true) {
-			activeLeases.Add(-1)
-			leasesLost.Add(1)
-		}
+		l.lost.Store(true)
 		return errLeaseLost
 	}
 	raw, err := l.record(false)
@@ -196,7 +190,7 @@ func (l *lease) renew() error {
 		// retries.
 		return err
 	}
-	leaseRenewals.Add(1)
+	l.lm.ledger.Add(core.LeaseRenewal)
 	return nil
 }
 
@@ -208,13 +202,10 @@ func (l *lease) release() {
 		return
 	}
 	if l.owned() {
-		if raw, err := l.record(true); err == nil && fsatomic.PublishFS(l.lm.fs, l.lm.path(l.cell, l.gen), raw) == nil {
-			leasesReleased.Add(1)
+		if raw, err := l.record(true); err == nil {
+			// A release that does not land leaves the lease to expire.
+			_ = fsatomic.PublishFS(l.lm.fs, l.lm.path(l.cell, l.gen), raw)
 		}
 	}
-	// The handle is dead either way; only a reclaim detected at renewal
-	// counts as "lost".
-	if !l.lost.Swap(true) {
-		activeLeases.Add(-1)
-	}
+	l.lost.Store(true) // the handle is dead either way
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hmpt/internal/core"
 	"hmpt/internal/faultfs"
 )
 
@@ -35,7 +36,7 @@ func FuzzLeaseHead(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, head []byte) {
 		dir := t.TempDir()
-		lm := &leaseManager{fs: faultfs.OS, dir: dir, manifest: "m", owner: "claimant", ttl: time.Minute}
+		lm := &leaseManager{fs: faultfs.OS, dir: dir, manifest: "m", owner: "claimant", ttl: time.Minute, ledger: core.NewLedger(nil)}
 		if err := os.WriteFile(lm.path(0, 1), head, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -59,8 +60,8 @@ func FuzzLeaseHead(f *testing.F) {
 			t.Fatalf("head %q not claimed, want a claim at generation 2", head)
 		case l.gen != 2:
 			t.Fatalf("claimed generation %d, want 2", l.gen)
-		case (valid && rec.Released) != (lm.reclaimed.Load() == 0):
-			t.Fatalf("head %q: %d reclaims, want a reclaim exactly when the head is not a released lease", head, lm.reclaimed.Load())
+		case (valid && rec.Released) != (lm.ledger.Count(core.LeaseReclaim) == 0):
+			t.Fatalf("head %q: %d reclaims, want a reclaim exactly when the head is not a released lease", head, lm.ledger.Count(core.LeaseReclaim))
 		}
 	})
 }

@@ -125,17 +125,7 @@ func Merge(dir string, fs faultfs.FS) (*Merged, error) {
 	}
 
 	if out.Complete {
-		leaseTree := filepath.Join(dir, leaseDir)
-		if entries, err := fs.ReadDir(leaseTree); err == nil {
-			for _, ent := range entries {
-				if ent.IsDir() {
-					continue
-				}
-				if fs.Remove(filepath.Join(leaseTree, ent.Name())) == nil {
-					out.StaleLeases++
-				}
-			}
-		}
+		out.StaleLeases = sweepLeases(fs, dir)
 		out.StaleStaging += sweepStaging(fs, filepath.Join(dir, journalDir))
 		out.StaleStaging += sweepStaging(fs, filepath.Join(dir, reportDir))
 		out.StaleStaging += sweepStaging(fs, dir)

@@ -122,6 +122,7 @@ func workerOpts(id string) WorkerOptions {
 }
 
 func TestPlanIdempotentAndRejectsDifferentCampaign(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	a, err := Plan(dir, tinySpec())
 	if err != nil {
@@ -140,6 +141,7 @@ func TestPlanIdempotentAndRejectsDifferentCampaign(t *testing.T) {
 }
 
 func TestManifestNormalisesShorthand(t *testing.T) {
+	t.Parallel()
 	all := experiments.CampaignSpec{Workloads: []string{"all"}}
 	var names []string
 	for _, s := range experiments.Specs() {
@@ -173,6 +175,7 @@ func enumerateSpec(t *testing.T, spec experiments.CampaignSpec) []cellRef {
 // three cold workers sharing nothing but the shard directory must merge
 // to the byte-identical result of one single-process run.
 func TestShardedCampaignMatchesSingleProcess(t *testing.T) {
+	t.Parallel()
 	spec := testSpec()
 	dir := t.TempDir()
 	if _, err := Plan(dir, spec); err != nil {
@@ -233,6 +236,7 @@ func TestShardedCampaignMatchesSingleProcess(t *testing.T) {
 // survivors to reclaim the cell and finish the campaign byte-identical
 // to a single-process run.
 func TestKilledShardIsReclaimedAndCampaignCompletes(t *testing.T) {
+	t.Parallel()
 	spec := testSpec()
 	dir := t.TempDir()
 	if _, err := Plan(dir, spec); err != nil {
@@ -299,6 +303,7 @@ func TestKilledShardIsReclaimedAndCampaignCompletes(t *testing.T) {
 // worker joining a completed campaign journals nothing, executes
 // nothing, and runs zero kernels.
 func TestResumeRecomputesNothing(t *testing.T) {
+	t.Parallel()
 	spec := tinySpec()
 	dir := t.TempDir()
 	if _, err := Plan(dir, spec); err != nil {
@@ -333,8 +338,9 @@ func TestResumeRecomputesNothing(t *testing.T) {
 // TestTornJournalRecordReadsIncomplete pins the journal's failure
 // direction: any damage reads as incomplete, never as falsely done.
 func TestTornJournalRecordReadsIncomplete(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
-	j := &journal{fs: faultfs.OS, dir: dir, manifest: "manifest-a"}
+	j := &journal{fs: faultfs.OS, dir: dir, manifest: "manifest-a", ledger: core.NewLedger(nil)}
 	rec := &cellRecord{
 		Cell: 0, Workload: "w", Platform: "p", Variant: "v", Owner: "o",
 		Analysis: &core.Analysis{Workload: "w", Platform: "p", Runs: 3},
@@ -363,14 +369,14 @@ func TestTornJournalRecordReadsIncomplete(t *testing.T) {
 		if err := os.WriteFile(j.path(0), body, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		before := JournalInvalid()
+		before := j.ledger.Count(core.JournalInvalid)
 		if _, ok := j.load(0); ok {
 			t.Fatalf("%s: damaged record read as complete", name)
 		}
-		if name != "empty" && JournalInvalid() == before {
+		if name != "empty" && j.ledger.Count(core.JournalInvalid) == before {
 			// an empty file is the one case indistinguishable from a
 			// fresh torn publish; everything else must be counted
-			t.Fatalf("%s: damage not counted in JournalInvalid", name)
+			t.Fatalf("%s: damage not counted as JournalInvalid", name)
 		}
 	}
 
@@ -400,6 +406,7 @@ func flipByte(raw []byte, i int) []byte {
 // TestLeaseClaimRaceExactlyOneWinner races two workers on one
 // unclaimed lease, repeatedly, under -race.
 func TestLeaseClaimRaceExactlyOneWinner(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	a := &leaseManager{fs: faultfs.OS, dir: dir, manifest: "m", owner: "a", ttl: time.Minute}
 	b := &leaseManager{fs: faultfs.OS, dir: dir, manifest: "m", owner: "b", ttl: time.Minute}
@@ -439,6 +446,7 @@ func TestLeaseClaimRaceExactlyOneWinner(t *testing.T) {
 // TestExpiredLeaseReclaimRaceOneWinner races two workers on reclaiming
 // a dead holder's expired lease.
 func TestExpiredLeaseReclaimRaceOneWinner(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	dead := &leaseManager{fs: faultfs.OS, dir: dir, manifest: "m", owner: "dead", ttl: time.Millisecond}
 	a := &leaseManager{fs: faultfs.OS, dir: dir, manifest: "m", owner: "a", ttl: time.Minute}
@@ -521,6 +529,7 @@ func (p *pausingFS) CreateTemp(dir, pattern string) (faultfs.File, error) {
 // stale read must never displace B's fresh lease — and B must still
 // own the cell.
 func TestLeaseReclaimAfterStaleReadLosesToPeer(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	dead := &leaseManager{fs: faultfs.OS, dir: dir, manifest: "m", owner: "dead", ttl: time.Millisecond}
 	if l, err := dead.tryAcquire(0); err != nil || l == nil {
@@ -586,6 +595,7 @@ func (p *leaseReadPauseFS) ReadFile(name string) ([]byte, error) {
 // lease. B must find A's journal record after its claim instead of
 // computing the cell a second time.
 func TestClaimAfterPeerJournaledIsAJournalHit(t *testing.T) {
+	t.Parallel()
 	spec := tinySpec()
 	dir := t.TempDir()
 	if _, err := Plan(dir, spec); err != nil {
@@ -636,6 +646,7 @@ func TestClaimAfterPeerJournaledIsAJournalHit(t *testing.T) {
 // history and requires the campaign to complete around it with a
 // structured partial-failure report instead of hanging.
 func TestPoisonedCellQuarantines(t *testing.T) {
+	t.Parallel()
 	spec := tinySpec()
 	dir := t.TempDir()
 	man, err := Plan(dir, spec)
@@ -692,6 +703,7 @@ func TestPoisonedCellQuarantines(t *testing.T) {
 // deterministic storm of EIO and torn writes, and requires the campaign
 // to complete correctly once the fault budget is spent.
 func TestWorkerCompletesOnFaultyCoordinationFS(t *testing.T) {
+	t.Parallel()
 	spec := tinySpec()
 	dir := t.TempDir()
 	if _, err := Plan(dir, spec); err != nil {
@@ -727,6 +739,7 @@ func TestWorkerCompletesOnFaultyCoordinationFS(t *testing.T) {
 // TestMergeReportsPendingOnInProgressCampaign pins that merging early
 // is safe and explicit about incompleteness.
 func TestMergeReportsPendingOnInProgressCampaign(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	if _, err := Plan(dir, tinySpec()); err != nil {
 		t.Fatal(err)
@@ -767,6 +780,7 @@ func claimFamilies(w *Worker) []string {
 // worker IDs rotate which family they start claiming so a fleet spreads
 // across families instead of piling onto one base capture.
 func TestClaimOrderFamilyAffine(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	if _, err := Plan(dir, testSpec()); err != nil {
 		t.Fatalf("plan: %v", err)
@@ -856,4 +870,95 @@ func FuzzLoadManifest(f *testing.F) {
 			t.Fatalf("re-marshalled manifest loads to ID %.12s, want %.12s", back.ID, man.ID)
 		}
 	})
+}
+
+// failingStageFS fails the staging write of every publish into the
+// fail-record tree, and of the first journalFails publishes into the
+// journal.
+type failingStageFS struct {
+	faultfs.FS
+	mu           sync.Mutex
+	journalFails int
+}
+
+func (f *failingStageFS) CreateTemp(dir, pattern string) (faultfs.File, error) {
+	if strings.Contains(dir, string(filepath.Separator)+failDir+string(filepath.Separator)) {
+		return nil, errors.New("injected fail-record error")
+	}
+	if filepath.Base(dir) == journalDir {
+		f.mu.Lock()
+		fail := f.journalFails > 0
+		f.journalFails--
+		f.mu.Unlock()
+		if fail {
+			return nil, errors.New("injected journal error")
+		}
+	}
+	return f.FS.CreateTemp(dir, pattern)
+}
+
+// TestWorkerCountsEveryFailedAttempt: a failed attempt is counted on
+// the worker's ledger whether or not its fail record publishes, so
+// Summary.Failures equals the attempts that failed.
+func TestWorkerCountsEveryFailedAttempt(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	if _, err := Plan(dir, tinySpec()); err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	const journalFails = 3
+	opts := workerOpts("flaky")
+	opts.FS = &failingStageFS{FS: faultfs.OS, journalFails: journalFails}
+	opts.MaxAttempts = 50
+	w, err := NewWorker(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := w.Run(context.Background())
+	if err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	cells := len(enumerateSpec(t, tinySpec()))
+	if sum.Failures != journalFails || sum.Executed != cells {
+		t.Fatalf("summary failures %d, executed %d; want %d and %d", sum.Failures, sum.Executed, journalFails, cells)
+	}
+	for i := 0; i < cells; i++ {
+		if h := w.attempts.history(i); len(h) != 0 {
+			t.Fatalf("cell %d: %d fail records published through a failing tree", i, len(h))
+		}
+	}
+	if n := w.ledger.Count(core.LeaseAcquired); n != journalFails+int64(cells) {
+		t.Errorf("%d leases acquired, want one per attempt (%d)", n, journalFails+cells)
+	}
+}
+
+// TestWorkerLedgersSumIntoProcessCounts: every worker ledger adds into
+// the package-level parent the process getters read. It reads
+// process-wide counts, so it stays sequential: Go starts the parallel
+// tests only after every sequential one has finished.
+func TestWorkerLedgersSumIntoProcessCounts(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Plan(dir, tinySpec()); err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	acquired, journaled := LeasesAcquired(), CellsJournaled()
+	var leases, executed int64
+	for _, id := range []string{"p0", "p1"} {
+		w, err := NewWorker(dir, workerOpts(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := w.Run(context.Background())
+		if err != nil {
+			t.Fatalf("worker %s: %v", id, err)
+		}
+		leases += w.ledger.Count(core.LeaseAcquired)
+		executed += int64(sum.Executed)
+	}
+	if d := LeasesAcquired() - acquired; d != leases {
+		t.Errorf("process counted %d lease acquisitions, workers %d", d, leases)
+	}
+	if d := CellsJournaled() - journaled; d != executed || executed != int64(len(enumerateSpec(t, tinySpec()))) {
+		t.Errorf("process counted %d journaled cells, workers executed %d", d, executed)
+	}
 }

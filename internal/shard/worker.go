@@ -63,13 +63,15 @@ type WorkerOptions struct {
 // errAbandoned reports a worker stopped by the test-only abandon hook.
 var errAbandoned = errors.New("shard: worker abandoned (test hook)")
 
-// Summary is what one worker's Run contributed and observed.
+// Summary is what one worker's Run contributed and observed. Executed,
+// JournalHits, Failures and Reclaimed are read from the worker's ledger.
 type Summary struct {
 	Owner string `json:"owner"`
 	// Cells is the campaign's total cell count; Executed how many this
 	// worker computed and journaled; JournalHits how many it found
 	// already journaled by someone else (zero-recompute skips);
-	// Quarantined how many ended quarantined fleet-wide.
+	// Failures how many of its attempts failed; Quarantined how many
+	// cells ended quarantined fleet-wide.
 	Cells       int `json:"cells"`
 	Executed    int `json:"executed"`
 	JournalHits int `json:"journal_hits"`
@@ -98,10 +100,30 @@ type Worker struct {
 	settled []bool // journaled or quarantined, by cell
 	mine    []bool // journaled by this worker
 
-	executed    int
-	journalHits int
-	failures    int
+	// ledger counts this worker's coordination events; its Summary
+	// reads them from here.
+	ledger *core.Ledger
 }
+
+// processLedger is the parent of every worker's ledger. Only the four
+// getters below read it, and perfbench is their only caller; they go
+// once perfbench reads each worker's Summary instead (the ROADMAP's
+// benchmark-upkeep item).
+var processLedger = core.NewLedger(nil)
+
+// LeasesAcquired counts the process's successful lease claims, fresh
+// and reclaimed.
+func LeasesAcquired() int64 { return processLedger.Count(core.LeaseAcquired) }
+
+// LeaseRenewals counts the process's lease heartbeat renewals.
+func LeaseRenewals() int64 { return processLedger.Count(core.LeaseRenewal) }
+
+// LeasesReclaimed counts the process's takeovers of expired or
+// unparseable leases.
+func LeasesReclaimed() int64 { return processLedger.Count(core.LeaseReclaim) }
+
+// CellsJournaled counts the completion records the process published.
+func CellsJournaled() int64 { return processLedger.Count(core.CellJournaled) }
 
 // NewWorker opens the shard directory, validates its manifest and
 // rebuilds the matrix.
@@ -141,6 +163,7 @@ func NewWorker(dir string, opts WorkerOptions) (*Worker, error) {
 		eng = &campaign.Engine{}
 	}
 	cells := enumerate(m)
+	led := core.NewLedger(processLedger)
 	return &Worker{
 		dir:   dir,
 		man:   man,
@@ -149,15 +172,16 @@ func NewWorker(dir string, opts WorkerOptions) (*Worker, error) {
 		eng:   eng,
 		leases: &leaseManager{
 			fs: fs, dir: filepath.Join(dir, leaseDir),
-			manifest: man.ID, owner: opts.ID, ttl: opts.TTL,
+			manifest: man.ID, owner: opts.ID, ttl: opts.TTL, ledger: led,
 		},
-		journal: &journal{fs: fs, dir: filepath.Join(dir, journalDir), manifest: man.ID},
+		journal: &journal{fs: fs, dir: filepath.Join(dir, journalDir), manifest: man.ID, ledger: led},
 		attempts: &attempts{
 			fs: fs, failDir: filepath.Join(dir, failDir), quarDir: filepath.Join(dir, quarantineDir),
 			manifest: man.ID, owner: opts.ID, backoff: opts.Backoff, max: opts.MaxAttempts,
 		},
 		settled: make([]bool, len(cells)),
 		mine:    make([]bool, len(cells)),
+		ledger:  led,
 	}, nil
 }
 
@@ -262,16 +286,14 @@ func (w *Worker) Run(ctx context.Context) (*Summary, error) {
 				}
 				continue
 			}
-			if ok, _ := w.attempts.eligible(hist, time.Now()); !ok {
+			if !w.attempts.eligible(hist, time.Now()) {
 				continue // backing off; revisit next round
 			}
+			// A lease error is a skip (the advisory layer: an unreadable
+			// lease costs a round), and nil a live holder elsewhere.
 			l, err := w.leases.tryAcquire(i)
-			if err != nil {
-				leaseErrors.Add(1)
-				continue // advisory layer: an unreadable lease costs a round
-			}
-			if l == nil {
-				continue // live holder elsewhere
+			if err != nil || l == nil {
+				continue
 			}
 			if w.journaled(i) {
 				// A peer journaled the cell and let go of it between the
@@ -310,8 +332,7 @@ func (w *Worker) journaled(i int) bool {
 	}
 	w.settled[i] = true
 	if !w.mine[i] {
-		w.journalHits++
-		journalSkips.Add(1)
+		w.ledger.Add(core.JournalSkip)
 	}
 	return true
 }
@@ -381,7 +402,6 @@ func (w *Worker) runCell(ctx context.Context, i int, l *lease, attempt int) (aba
 	}
 	w.settled[i] = true
 	w.mine[i] = true
-	w.executed++
 	l.release()
 	return false, true
 }
@@ -389,10 +409,8 @@ func (w *Worker) runCell(ctx context.Context, i int, l *lease, attempt int) (aba
 // failCell records one failed attempt, absorbing bookkeeping errors
 // (the fail record is advisory; losing one means one extra retry).
 func (w *Worker) failCell(i, attempt int, cellErr error) {
-	w.failures++
-	if err := w.attempts.recordFailure(i, attempt, cellErr, w.leases.seq.Add(1)); err != nil {
-		leaseErrors.Add(1)
-	}
+	w.ledger.Add(core.CellFailure)
+	_ = w.attempts.recordFailure(i, attempt, cellErr, w.leases.seq.Add(1))
 }
 
 // sweep removes stale coordination files once the campaign is settled:
@@ -401,17 +419,25 @@ func (w *Worker) failCell(i, attempt int, cellErr error) {
 // Races with peers running the same sweep are benign; removal errors
 // are ignored (merge sweeps again).
 func (w *Worker) sweep() {
-	dir := filepath.Join(w.dir, leaseDir)
-	entries, err := w.leases.fs.ReadDir(dir)
+	sweepLeases(w.leases.fs, w.dir)
+	sweepStaging(w.leases.fs, filepath.Join(w.dir, journalDir))
+}
+
+// sweepLeases removes every lease record of the shard directory and
+// returns how many it removed.
+func sweepLeases(fs faultfs.FS, shardDir string) int {
+	dir := filepath.Join(shardDir, leaseDir)
+	entries, err := fs.ReadDir(dir)
 	if err != nil {
-		return
+		return 0
 	}
+	n := 0
 	for _, ent := range entries {
-		if !ent.IsDir() {
-			w.leases.fs.Remove(filepath.Join(dir, ent.Name()))
+		if !ent.IsDir() && fs.Remove(filepath.Join(dir, ent.Name())) == nil {
+			n++
 		}
 	}
-	sweepStaging(w.leases.fs, filepath.Join(w.dir, journalDir))
+	return n
 }
 
 // sweepStaging removes fsatomic staging files (".<name>.tmp*") from
@@ -444,11 +470,11 @@ func (w *Worker) summary(dur time.Duration) *Summary {
 	s := &Summary{
 		Owner:       w.opts.ID,
 		Cells:       len(w.cells),
-		Executed:    w.executed,
-		JournalHits: w.journalHits,
-		Failures:    w.failures,
+		Executed:    int(w.ledger.Count(core.CellJournaled)),
+		JournalHits: int(w.ledger.Count(core.JournalSkip)),
+		Failures:    int(w.ledger.Count(core.CellFailure)),
 		Quarantined: quar,
-		Reclaimed:   w.leases.reclaimed.Load(),
+		Reclaimed:   w.ledger.Count(core.LeaseReclaim),
 		Duration:    dur,
 	}
 	if dur > 0 {

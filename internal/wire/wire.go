@@ -29,7 +29,7 @@ import (
 // keeps adjacent fields from aliasing lives in exactly one place.
 type HashWriter struct {
 	h       hash.Hash
-	scratch [8]byte
+	scratch [64]byte
 }
 
 // NewHashWriter wraps a hash with the wire encoding discipline.
@@ -37,8 +37,8 @@ func NewHashWriter(h hash.Hash) *HashWriter { return &HashWriter{h: h} }
 
 // U64 hashes a little-endian uint64.
 func (w *HashWriter) U64(v uint64) {
-	binary.LittleEndian.PutUint64(w.scratch[:], v)
-	w.h.Write(w.scratch[:])
+	binary.LittleEndian.PutUint64(w.scratch[:8], v)
+	w.h.Write(w.scratch[:8])
 }
 
 // I64 hashes an int64 as its two's-complement uint64 image.
@@ -56,10 +56,17 @@ func (w *HashWriter) Bool(v bool) {
 	}
 }
 
-// Str hashes a u64 length prefix followed by the raw string bytes.
+// Str hashes a u64 length prefix followed by the raw string bytes. The
+// bytes reach the hash in chunks copied through the scratch array:
+// []byte(s) would allocate a copy on every call, and neither
+// crypto/sha256 nor hash/fnv takes a string directly.
 func (w *HashWriter) Str(s string) {
 	w.U64(uint64(len(s)))
-	w.h.Write([]byte(s))
+	for len(s) > 0 {
+		n := copy(w.scratch[:], s)
+		w.h.Write(w.scratch[:n])
+		s = s[n:]
+	}
 }
 
 // Encoder appends the little-endian wire form to a byte slice. The

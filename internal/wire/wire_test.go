@@ -2,7 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -216,5 +219,27 @@ func TestStrBytesAliasesBuffer(t *testing.T) {
 	d = NewDecoder([]byte{9, 0, 0, 0, 'x'})
 	if b := d.StrBytes(); b != nil || d.Err() == nil {
 		t.Errorf("truncated StrBytes = %q, err %v; want nil and an error", b, d.Err())
+	}
+}
+
+// TestHashWriterStrChunks: Str hashes exactly the length prefix and the
+// string's bytes whatever the string's length relative to the scratch
+// chunk, and allocates nothing.
+func TestHashWriterStrChunks(t *testing.T) {
+	h := sha256.New()
+	w := NewHashWriter(h)
+	for _, n := range []int{0, 1, 7, 8, 63, 64, 65, 128, 200} {
+		s := strings.Repeat("ab", n)[:n]
+		h.Reset()
+		w.Str(s)
+		got := h.Sum(nil)
+		want := sha256.Sum256(append(binary.LittleEndian.AppendUint64(nil, uint64(n)), s...))
+		if !bytes.Equal(got, want[:]) {
+			t.Errorf("len %d: Str hashed %x, want %x", n, got, want)
+		}
+	}
+	long := strings.Repeat("x", 300)
+	if allocs := testing.AllocsPerRun(100, func() { w.Str(long) }); allocs != 0 {
+		t.Errorf("Str makes %.0f allocations, want 0", allocs)
 	}
 }
