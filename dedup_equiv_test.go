@@ -26,12 +26,12 @@ func TestDedupMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("capture: %v", err)
 			}
-			d := snap.Trace.Dedup()
-			if len(d.Phases) != len(snap.Trace.Phases) {
+			can := snap.Trace.Canonical()
+			if len(can.Phases) != len(snap.Trace.Phases) {
 				t.Errorf("captured trace is not canonical: %d phases but %d distinct shapes",
-					len(snap.Trace.Phases), len(d.Phases))
+					len(snap.Trace.Phases), len(can.Phases))
 			}
-			if !reflect.DeepEqual(snap.Trace, snap.Trace.Canonical()) {
+			if !reflect.DeepEqual(snap.Trace, can) {
 				t.Error("captured trace is not a fixed point of Canonical")
 			}
 			eng, err := core.NewReplay(snap, c.opts).Analyze()

@@ -38,10 +38,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"hmpt/internal/core"
+	"hmpt/internal/fsatomic"
 	"hmpt/internal/trace"
 )
 
@@ -168,7 +168,7 @@ func scan(opts Options) (entries []entry, staging []entry, usage Usage, err erro
 			e := entry{path: filepath.Join(dir, name), bytes: fi.Size(), atime: atime(fi), dead: true}
 			switch {
 			case ext == "":
-			case strings.HasPrefix(name, ".") && strings.Contains(name, ".tmp"):
+			case fsatomic.IsStaging(name):
 				e.dead = now.Sub(fi.ModTime()) >= age
 				staging = append(staging, e)
 				usage.Staging.add(e.bytes, e.dead)

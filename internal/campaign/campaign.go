@@ -85,6 +85,21 @@ type Matrix struct {
 	Variants []Variant
 }
 
+// CellOptions resolves the tuner options of the cell (w, p, v): the
+// workload's base options with the platform overlaid and any snapshot
+// dropped, then the variant applied. It is the one definition of a
+// cell's options, so every caller that groups cells by capture or
+// family groups them as the engine does.
+func CellOptions(w Workload, p Platform, v Variant) core.Options {
+	opts := w.Options
+	opts.Platform = p.Platform
+	opts.Snapshot = nil
+	if v.Apply != nil {
+		v.Apply(&opts)
+	}
+	return opts
+}
+
 // Cell is one evaluated scenario of a campaign.
 type Cell struct {
 	Workload string
@@ -298,12 +313,7 @@ func (e *Engine) RunContext(ctx context.Context, m Matrix) (*Result, error) {
 	for _, w := range m.Workloads {
 		for _, p := range m.Platforms {
 			for _, v := range variants {
-				opts := w.Options
-				opts.Platform = p.Platform
-				opts.Snapshot = nil
-				if v.Apply != nil {
-					v.Apply(&opts)
-				}
+				opts := CellOptions(w, p, v)
 				key := core.SnapshotKeyFor(w.Name, opts)
 				id := key.ID()
 				c, ok := caps[id]

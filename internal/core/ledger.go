@@ -19,7 +19,7 @@ const (
 	Coalesced                    // a computation served from another caller's flight entry
 	RecoveredPanic               // a panic recovered inside a campaign computation
 
-	LeaseAcquired  // a shard lease claimed, fresh or reclaimed
+	LeaseAcquired  // a shard lease claimed, fresh or reclaimed, to run its cell
 	LeaseRenewal   // a shard lease heartbeat renewal
 	LeaseReclaim   // an expired or unparseable shard lease taken over
 	CellJournaled  // a shard cell's completion record published

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"hmpt/internal/faultfs"
 )
@@ -48,6 +49,14 @@ func PublishExclusiveFS(fs faultfs.FS, path string, data []byte) error {
 		}
 		return fmt.Errorf("fsatomic: claiming %s: %w", filepath.Base(path), err)
 	})
+}
+
+// IsStaging reports whether the base name belongs to a staging file of
+// this package's publishes: "." + the destination's base name + ".tmp"
+// + a random suffix. A publish killed between staging and placing leaves
+// one behind, and the stale-file sweeps find them by this test.
+func IsStaging(name string) bool {
+	return strings.HasPrefix(name, ".") && strings.Contains(name, ".tmp")
 }
 
 // publish stages data in a uniquely named temporary file in path's

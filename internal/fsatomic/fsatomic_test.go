@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"hmpt/internal/faultfs"
 )
 
 // TestPublishBasics: content lands whole, overwrites atomically, and no
@@ -108,5 +110,46 @@ func TestPublishExclusiveRefusesExisting(t *testing.T) {
 	}
 	if n := countTemps(t, dir); n != 0 {
 		t.Errorf("%d staging files left behind", n)
+	}
+}
+
+// stagingRecorder records the name of every staging file it creates.
+type stagingRecorder struct {
+	faultfs.FS
+	names []string
+}
+
+func (r *stagingRecorder) CreateTemp(dir, pattern string) (faultfs.File, error) {
+	f, err := r.FS.CreateTemp(dir, pattern)
+	if err == nil {
+		r.names = append(r.names, filepath.Base(f.Name()))
+	}
+	return f, err
+}
+
+// TestIsStagingMatchesPublishedStaging: IsStaging recognises the names
+// both publishes actually stage under, and neither the destinations
+// they publish nor ordinary cache and shard file names.
+func TestIsStagingMatchesPublishedStaging(t *testing.T) {
+	dir := t.TempDir()
+	rec := &stagingRecorder{FS: faultfs.OS}
+	if err := PublishFS(rec, filepath.Join(dir, "entry.anl"), []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := PublishExclusiveFS(rec, filepath.Join(dir, "cell-000001.g1.lease"), []byte("b")); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.names) != 2 {
+		t.Fatalf("recorded %d staging files, want 2", len(rec.names))
+	}
+	for _, name := range rec.names {
+		if !IsStaging(name) {
+			t.Errorf("IsStaging(%q) = false for a name publish staged", name)
+		}
+	}
+	for _, name := range []string{"entry.anl", "cell-000001.g1.lease", "cell-000001.done", "w0.json", "3-0-7.snap"} {
+		if IsStaging(name) {
+			t.Errorf("IsStaging(%q) = true for a published name", name)
+		}
 	}
 }

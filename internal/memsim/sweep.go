@@ -3,7 +3,6 @@ package memsim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"hmpt/internal/shim"
 	"hmpt/internal/trace"
@@ -23,60 +22,55 @@ const EngineVersion = 1
 // pair: the preallocated, allocation-free engine behind the tuner's
 // exhaustive 2^|AG| configuration sweep and its impact probes.
 //
-// Compilation deduplicates the trace by phase shape (trace.PhaseHash /
-// trace.SameShape): each distinct shape is compiled once — for every
-// (shape, stream, pool) triple, the three contributions costPhase would
-// derive for that stream if its allocation lived in that pool: the two
+// Compilation makes one entry per trace phase: for every (phase,
+// stream, pool) triple, the three contributions costPhase would derive
+// for that stream if its allocation lived in that pool — the two
 // per-thread concurrency addends (read and write) and the pool-bus
-// occupancy addend — and every trace position merely references its
-// shape with its own repeat multiplier. Evaluating a placement then
-// costs each distinct shape once (selecting one pool column per stream
-// and re-running the identical additions — no map lookups, no per-stream
-// split slices, no cache-profile recomputation) and scales by count; on
-// the canonical deduplicated traces the pipeline captures, positions and
-// shapes coincide and the whole sweep is O(unique phases).
+// occupancy addend — plus the phase's repeat multiplier. Evaluating a
+// placement then selects one pool column per stream and re-runs the
+// identical additions (no map lookups, no per-stream split slices, no
+// cache-profile recomputation). The traces the pipeline compiles are
+// canonical (trace.Canonical: each distinct phase shape once, its
+// multiplicity in Repeat), so the sweep is O(unique phases); a raw
+// trace compiles and evaluates every phase it carries.
 //
 // Bit-exactness contract: for any whole-group pool assignment, Eval* and
 // Flip return exactly the Duration Machine.Cost computes for the
-// equivalent SimplePlacement (rng == nil) — on any trace, deduplicated
-// or not. This holds because every floating-point operation of the shape
-// walk is performed in the same order on the same values as costPhase
-// (two positions of one shape are bitwise-identical walks, so sharing
-// one result changes nothing), per-position contributions are
-// accumulated in trace order exactly as Cost accumulates RunResult.Time,
-// and the incremental Gray-code step (Flip) re-evaluates whole shapes: a
-// shape's cost is a pure function of the pools of the groups it touches,
-// so shapes untouched by a flip keep bitwise-identical cached values and
-// touched shapes are recomputed by the same full stream-order walk a
-// fresh evaluation would use. The equivalence is asserted per-mask by
-// TestSweepMatchesCost and end-to-end by the core equivalence tests.
+// equivalent SimplePlacement (rng == nil) — on any trace. This holds
+// because every floating-point operation of the phase walk is performed
+// in the same order on the same values as costPhase, per-phase
+// contributions are accumulated in trace order exactly as Cost
+// accumulates RunResult.Time, and the incremental Gray-code step (Flip)
+// re-evaluates whole phases: a phase's cost is a pure function of the
+// pools of the groups it touches, so phases untouched by a flip keep
+// bitwise-identical cached values and touched phases are recomputed by
+// the same full stream-order walk a fresh evaluation would use. The
+// equivalence is asserted per-mask by TestSweepMatchesCost and
+// end-to-end by the core equivalence tests.
 //
 // The evaluator carries mutable per-instance state (current assignment
-// and cached per-shape/per-position contributions) and is NOT safe for
-// concurrent use; Clone shares the compiled read-only tables and gives
-// each worker its own state, which is how the tuner fans the sweep and
-// its probe stage out over internal/parallel workers.
+// and cached per-phase contributions) and is NOT safe for concurrent
+// use; Clone shares the compiled read-only tables and gives each worker
+// its own state, which is how the tuner fans the sweep and its probe
+// stage out over internal/parallel workers.
 type SweepEvaluator struct {
 	m       *Machine
 	nPools  int
 	defPool PoolID
-	shapes  []sweepShape
-	pos     []sweepPos
-	// byGroupShape/byGroupPos list the shape and position indices whose
-	// cost depends on each group — what a Flip must re-derive.
-	byGroupShape [][]int32
-	byGroupPos   [][]int32
+	phases  []sweepPhase
+	// byGroup lists, in trace order, the phases whose cost depends on
+	// each group — what a Flip must re-evaluate.
+	byGroup [][]int32
 
 	// Mutable evaluation state.
-	pools     []PoolID         // current pool per group
-	shapeTime []units.Duration // cached per-shape time (single repeat)
-	contrib   []units.Duration // cached per-position time × repeats
-	effBus    []float64        // per-pool bus-seconds scratch
+	pools   []PoolID         // current pool per group
+	contrib []units.Duration // cached per-phase time × repeats
+	effBus  []float64        // per-pool bus-seconds scratch
 }
 
-// sweepShape is one compiled distinct phase shape: per-term contribution
-// columns plus the placement-independent compute ceiling.
-type sweepShape struct {
+// sweepPhase is one compiled trace phase: per-term contribution columns
+// plus the placement-independent compute ceiling and repeat multiplier.
+type sweepPhase struct {
 	// group[t] is the owning group of term t; -1 pins the term's
 	// allocation to the default pool.
 	group []int32
@@ -86,17 +80,11 @@ type sweepShape struct {
 	concR []float64
 	concW []float64
 	bus   []float64
-	// cpuTime is the shape's compute-ceiling time (mask independent).
+	// cpuTime is the phase's compute-ceiling time (mask independent).
 	cpuTime units.Duration
-	// touched lists the groups the shape's streams reference, sorted.
-	touched []int32
-}
-
-// sweepPos is one trace position: its shape and its repeat count as the
-// Duration multiplier Cost applies when accumulating the trace total.
-type sweepPos struct {
-	shape int32
-	reps  units.Duration
+	// reps is the phase's repeat count as the Duration multiplier Cost
+	// applies when accumulating the trace total.
+	reps units.Duration
 }
 
 // CompileSweep compiles the trace against a partition of allocations
@@ -124,58 +112,47 @@ func (m *Machine) CompileSweep(tr *trace.Trace, defThreads int, groups [][]shim.
 	}
 
 	e := &SweepEvaluator{
-		m:            m,
-		nPools:       nPools,
-		defPool:      defPool,
-		pos:          make([]sweepPos, len(tr.Phases)),
-		byGroupShape: make([][]int32, len(groups)),
-		byGroupPos:   make([][]int32, len(groups)),
-		pools:        make([]PoolID, len(groups)),
-		contrib:      make([]units.Duration, len(tr.Phases)),
-		effBus:       make([]float64, nPools),
+		m:       m,
+		nPools:  nPools,
+		defPool: defPool,
+		phases:  make([]sweepPhase, len(tr.Phases)),
+		byGroup: make([][]int32, len(groups)),
+		pools:   make([]PoolID, len(groups)),
+		contrib: make([]units.Duration, len(tr.Phases)),
+		effBus:  make([]float64, nPools),
 	}
 	for gi := range e.pools {
 		e.pools[gi] = defPool
 	}
-
-	// Deduplicate positions by shape: each distinct shape compiles once,
-	// every position references it with its own repeat multiplier.
-	var shapeIdx trace.ShapeIndexer
 	for pi := range tr.Phases {
-		ph := &tr.Phases[pi]
-		e.pos[pi].reps = units.Duration(ph.Times())
-		si := shapeIdx.Index(ph)
-		e.pos[pi].shape = si
-		if int(si) < len(e.shapes) {
-			continue // shape already compiled by an earlier position
-		}
-		sp, err := m.compileShape(ph, pi, defThreads, groupOf, nPools)
+		sp, err := m.compilePhase(&tr.Phases[pi], pi, defThreads, groupOf, nPools)
 		if err != nil {
 			return nil, err
 		}
-		e.shapes = append(e.shapes, sp)
-		for _, g := range sp.touched {
-			e.byGroupShape[g] = append(e.byGroupShape[g], si)
-		}
-	}
-	for pi := range e.pos {
-		for _, g := range e.shapes[e.pos[pi].shape].touched {
-			e.byGroupPos[g] = append(e.byGroupPos[g], int32(pi))
+		e.phases[pi] = sp
+		for _, g := range sp.group {
+			if g < 0 {
+				continue
+			}
+			// Phases compile in trace order, so the list already ends in
+			// pi when an earlier stream of this phase added it.
+			if n := len(e.byGroup[g]); n == 0 || e.byGroup[g][n-1] != int32(pi) {
+				e.byGroup[g] = append(e.byGroup[g], int32(pi))
+			}
 		}
 	}
 
 	// Initial evaluation under the all-default assignment.
-	e.shapeTime = make([]units.Duration, len(e.shapes))
 	e.evalAll()
 	return e, nil
 }
 
-// compileShape precompiles the per-(stream, pool) contribution columns
-// of one distinct phase shape — the identical arithmetic, in the
-// identical order, costPhase performs for that phase. pi is the shape's
-// first trace position, used for error attribution only.
-func (m *Machine) compileShape(ph *trace.Phase, pi, defThreads int, groupOf map[shim.AllocID]int32, nPools int) (sweepShape, error) {
-	var sp sweepShape
+// compilePhase precompiles the per-(stream, pool) contribution columns
+// of one phase — the identical arithmetic, in the identical order,
+// costPhase performs for it. pi is the phase's trace position, used for
+// error attribution only.
+func (m *Machine) compilePhase(ph *trace.Phase, pi, defThreads int, groupOf map[shim.AllocID]int32, nPools int) (sweepPhase, error) {
+	sp := sweepPhase{reps: units.Duration(ph.Times())}
 	threads := ph.Threads
 	if threads <= 0 {
 		threads = defThreads
@@ -184,11 +161,10 @@ func (m *Machine) compileShape(ph *trace.Phase, pi, defThreads int, groupOf map[
 		threads = m.P.Cores()
 	}
 
-	touched := make(map[int32]bool)
 	for si := range ph.Streams {
 		s := &ph.Streams[si]
 		if s.Bytes < 0 {
-			return sweepShape{}, fmt.Errorf("memsim: phase %d (%s): stream %d has negative bytes", pi, ph.Name, si)
+			return sweepPhase{}, fmt.Errorf("memsim: phase %d (%s): stream %d has negative bytes", pi, ph.Name, si)
 		}
 		if s.Bytes == 0 {
 			continue
@@ -203,12 +179,11 @@ func (m *Machine) compileShape(ph *trace.Phase, pi, defThreads int, groupOf map[
 			readB = float64(s.Bytes)
 			writeB = float64(s.Bytes)
 		default:
-			return sweepShape{}, fmt.Errorf("memsim: phase %d (%s): stream %d has unknown kind %v", pi, ph.Name, si, s.Kind)
+			return sweepPhase{}, fmt.Errorf("memsim: phase %d (%s): stream %d has unknown kind %v", pi, ph.Name, si, s.Kind)
 		}
 		gi := int32(-1)
 		if g, ok := groupOf[s.Alloc]; ok {
 			gi = g
-			touched[g] = true
 		}
 		mlp := m.mlpFor(s)
 		cached := s.Pattern == trace.Random || s.Pattern == trace.Chase
@@ -225,7 +200,7 @@ func (m *Machine) compileShape(ph *trace.Phase, pi, defThreads int, groupOf map[
 			memW := writeB * prof.MemFrac
 			bus := memR + m.P.Pools[pid].WriteCost*memW
 			if !finite(concR) || !finite(concW) || !finite(bus) {
-				return sweepShape{}, fmt.Errorf("memsim: phase %d (%s): stream %d cost is not finite in pool %s",
+				return sweepPhase{}, fmt.Errorf("memsim: phase %d (%s): stream %d cost is not finite in pool %s",
 					pi, ph.Name, si, m.P.Pools[pid].Name)
 			}
 			sp.concR = append(sp.concR, concR)
@@ -233,11 +208,6 @@ func (m *Machine) compileShape(ph *trace.Phase, pi, defThreads int, groupOf map[
 			sp.bus = append(sp.bus, bus)
 		}
 	}
-	for g := range touched {
-		sp.touched = append(sp.touched, g)
-	}
-	sort.Slice(sp.touched, func(i, j int) bool { return sp.touched[i] < sp.touched[j] })
-
 	if ph.Flops > 0 {
 		vf := ph.VectorFrac
 		if vf < 0 {
@@ -252,7 +222,7 @@ func (m *Machine) compileShape(ph *trace.Phase, pi, defThreads int, groupOf map[
 		peakG := float64(threads) * m.P.ClockGHz * (vf*m.P.VecFlopsPerCycle + (1-vf)*m.P.ScalarFlopsPerCycle)
 		sp.cpuTime = units.FlopRate(peakG * 1e9 * eff).Time(ph.Flops)
 		if !finite(float64(sp.cpuTime)) {
-			return sweepShape{}, fmt.Errorf("memsim: phase %d (%s): compute ceiling is not finite", pi, ph.Name)
+			return sweepPhase{}, fmt.Errorf("memsim: phase %d (%s): compute ceiling is not finite", pi, ph.Name)
 		}
 	}
 	return sp, nil
@@ -263,31 +233,22 @@ func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
 // NumGroups returns the number of groups in the compiled partition.
 func (e *SweepEvaluator) NumGroups() int { return len(e.pools) }
 
-// NumShapes returns the number of distinct phase shapes the trace
-// compiled to — the unit of evaluation work per mask.
-func (e *SweepEvaluator) NumShapes() int { return len(e.shapes) }
-
-// NumPositions returns the number of trace positions (phases of the
-// source trace). On a canonical deduplicated trace it equals NumShapes.
-func (e *SweepEvaluator) NumPositions() int { return len(e.pos) }
-
 // Clone returns an evaluator sharing the compiled read-only tables but
 // carrying private evaluation state (initialised to e's current
 // assignment), for use by a concurrent sweep worker.
 func (e *SweepEvaluator) Clone() *SweepEvaluator {
 	c := *e
 	c.pools = append([]PoolID(nil), e.pools...)
-	c.shapeTime = append([]units.Duration(nil), e.shapeTime...)
 	c.contrib = append([]units.Duration(nil), e.contrib...)
 	c.effBus = make([]float64, e.nPools)
 	return &c
 }
 
-// evalShape recomputes one distinct shape under the current assignment:
-// the stream-order walk of costPhase with precompiled addends, single
-// repeat.
-func (e *SweepEvaluator) evalShape(si int) units.Duration {
-	sp := &e.shapes[si]
+// evalPhase recomputes one phase under the current assignment: the
+// stream-order walk of costPhase with precompiled addends, scaled by
+// the phase's repeats.
+func (e *SweepEvaluator) evalPhase(pi int) units.Duration {
+	sp := &e.phases[pi]
 	np := e.nPools
 	eb := e.effBus
 	for p := range eb {
@@ -317,10 +278,10 @@ func (e *SweepEvaluator) evalShape(si int) units.Duration {
 	if sp.cpuTime > total {
 		total = sp.cpuTime
 	}
-	return total
+	return total * sp.reps
 }
 
-// total accumulates the cached per-position contributions in trace order
+// total accumulates the cached per-phase contributions in trace order
 // — the same addition sequence Cost uses for RunResult.Time.
 func (e *SweepEvaluator) total() units.Duration {
 	var t units.Duration
@@ -330,14 +291,10 @@ func (e *SweepEvaluator) total() units.Duration {
 	return t
 }
 
-// evalAll recomputes every shape once under the current assignment and
-// rescales every position from its shape.
+// evalAll recomputes every phase under the current assignment.
 func (e *SweepEvaluator) evalAll() units.Duration {
-	for si := range e.shapes {
-		e.shapeTime[si] = e.evalShape(si)
-	}
-	for pi := range e.pos {
-		e.contrib[pi] = e.shapeTime[e.pos[pi].shape] * e.pos[pi].reps
+	for pi := range e.phases {
+		e.contrib[pi] = e.evalPhase(pi)
 	}
 	return e.total()
 }
@@ -371,16 +328,12 @@ func (e *SweepEvaluator) EvalGroups(on []int, offPool, onPool PoolID) units.Dura
 }
 
 // Flip moves group g to pool `to` and incrementally re-evaluates only
-// the distinct shapes that group touches — the Gray-code step of the
-// sweep — then rescales the touched positions. The result is
-// bit-identical to a full evaluation of the new assignment.
+// the phases that group touches — the Gray-code step of the sweep. The
+// result is bit-identical to a full evaluation of the new assignment.
 func (e *SweepEvaluator) Flip(g int, to PoolID) units.Duration {
 	e.pools[g] = to
-	for _, si := range e.byGroupShape[g] {
-		e.shapeTime[si] = e.evalShape(int(si))
-	}
-	for _, pi := range e.byGroupPos[g] {
-		e.contrib[pi] = e.shapeTime[e.pos[pi].shape] * e.pos[pi].reps
+	for _, pi := range e.byGroup[g] {
+		e.contrib[pi] = e.evalPhase(int(pi))
 	}
 	return e.total()
 }

@@ -268,13 +268,11 @@ func TestSweepEvalAllocFree(t *testing.T) {
 	_ = sink
 }
 
-// TestSweepShapeSharing: a raw iterative trace (the same loop body
-// emitted many times, never adjacent) compiles each distinct shape once
-// — NumShapes stays at the body size while NumPositions grows with the
-// iteration count — and evaluation stays bit-exact against Machine.Cost
-// on the full per-position sum, for full evaluations and Gray-code
-// flips alike.
-func TestSweepShapeSharing(t *testing.T) {
+// TestSweepRawTraceMatchesCost: on a raw iterative trace (the same
+// loop body emitted many times, never adjacent, as no canonical trace
+// is) evaluation stays bit-exact against Machine.Cost on the full
+// per-phase sum, for full evaluations and Gray-code flips alike.
+func TestSweepRawTraceMatchesCost(t *testing.T) {
 	base := sweepTrace()
 	const iters = 17
 	tr := &trace.Trace{}
@@ -290,13 +288,6 @@ func TestSweepShapeSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := ev.NumShapes(), len(base.Phases); got != want {
-		t.Errorf("NumShapes = %d, want %d (one per distinct loop-body phase)", got, want)
-	}
-	if got, want := ev.NumPositions(), iters*len(base.Phases); got != want {
-		t.Errorf("NumPositions = %d, want %d", got, want)
-	}
-
 	for mask := uint32(0); mask < 1<<uint(len(groups)); mask++ {
 		res, err := m.Cost(tr, placementForMask(m.P, groups, mask), 0, nil)
 		if err != nil {
@@ -307,7 +298,7 @@ func TestSweepShapeSharing(t *testing.T) {
 		}
 	}
 	// Gray-code walk over the same masks: flips must re-derive exactly
-	// the shapes and positions the flipped group touches.
+	// the phases the flipped group touches.
 	det := ev.EvalMask(0, ddr, hbm)
 	for g := uint32(1); g < 1<<uint(len(groups)); g++ {
 		bit := 0

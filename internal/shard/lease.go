@@ -60,7 +60,8 @@ type leaseManager struct {
 	ttl      time.Duration
 	// seq numbers this manager's failure records (attempts).
 	seq atomic.Uint64
-	// ledger counts acquisitions, renewals and reclaims (nil: none).
+	// ledger counts renewals and reclaims (nil: none). Acquisitions are
+	// counted by the worker, once it goes on to run the claimed cell.
 	ledger *core.Ledger
 }
 
@@ -128,7 +129,6 @@ func (lm *leaseManager) claim(cell, gen int) (*lease, error) {
 	}
 	switch err := fsatomic.PublishExclusiveFS(lm.fs, lm.path(cell, gen), raw); {
 	case err == nil:
-		lm.ledger.Add(core.LeaseAcquired)
 		return l, nil
 	case os.IsExist(err):
 		return nil, nil

@@ -642,6 +642,71 @@ func TestClaimAfterPeerJournaledIsAJournalHit(t *testing.T) {
 	}
 }
 
+// peerJournalFS publishes a peer's journal records, once, just before
+// its holder's first lease link(2): for a worker, the instant after its
+// journal check of a cell and before its claim of the cell's lease lands.
+type peerJournalFS struct {
+	faultfs.FS
+	once    sync.Once
+	publish func()
+}
+
+func (p *peerJournalFS) Link(oldpath, newpath string) error {
+	if strings.HasSuffix(newpath, ".lease") {
+		p.once.Do(p.publish)
+	}
+	return p.FS.Link(oldpath, newpath)
+}
+
+// TestLeaseCountedOnlyWhenCellRuns forces the interleaving in which a
+// peer journals every cell between a worker's first journal check and
+// its lease link(2). The worker wins that lease, finds the peer's
+// record on its second check and lets go without running the cell; a
+// claim that did no work must not count as a lease.
+func TestLeaseCountedOnlyWhenCellRuns(t *testing.T) {
+	t.Parallel()
+	spec := tinySpec()
+	dir := t.TempDir()
+	man, err := Plan(dir, spec)
+	if err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	res := singleProcessRun(t, spec)
+	peer := &journal{fs: faultfs.OS, dir: filepath.Join(dir, journalDir), manifest: man.ID}
+	var published error
+	opts := workerOpts("w")
+	opts.FS = &peerJournalFS{FS: faultfs.OS, publish: func() {
+		for i, c := range res.Cells {
+			rec := &cellRecord{
+				Cell: i, Workload: c.Workload, Platform: c.Platform, Variant: c.Variant,
+				Owner: "peer", Analysis: c.Analysis,
+			}
+			if err := peer.complete(rec); err != nil && published == nil {
+				published = err
+			}
+		}
+	}}
+	w, err := NewWorker(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := w.Run(context.Background())
+	if err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	if published != nil {
+		t.Fatalf("publishing the peer's records: %v", published)
+	}
+	cells := len(enumerateSpec(t, spec))
+	if sum.Executed != 0 || sum.JournalHits != cells {
+		t.Fatalf("worker executed %d cells with %d journal hits, want 0/%d (the peer journaled every cell)",
+			sum.Executed, sum.JournalHits, cells)
+	}
+	if n := w.ledger.Count(core.LeaseAcquired); n != 0 {
+		t.Errorf("%d leases counted for a worker that ran no cell, want 0", n)
+	}
+}
+
 // TestPoisonedCellQuarantines pre-loads a cell with a full failure
 // history and requires the campaign to complete around it with a
 // structured partial-failure report instead of hanging.
@@ -758,17 +823,12 @@ func TestMergeReportsPendingOnInProgressCampaign(t *testing.T) {
 	}
 }
 
-// claimFamilies resolves each cell's derivation-family ID exactly as
-// claimOrder does, returning the family ID per cell index.
+// claimFamilies resolves each cell's derivation-family ID from the
+// engine's cell options, returning the family ID per cell index.
 func claimFamilies(w *Worker) []string {
 	fids := make([]string, len(w.cells))
 	for i, ref := range w.cells {
-		opts := ref.Workload.Options
-		opts.Platform = ref.Platform.Platform
-		opts.Snapshot = nil
-		if ref.Variant.Apply != nil {
-			ref.Variant.Apply(&opts)
-		}
+		opts := campaign.CellOptions(ref.Workload, ref.Platform, ref.Variant)
 		fids[i] = core.SnapshotKeyFor(ref.Workload.Name, opts).Family().ID()
 	}
 	return fids

@@ -111,8 +111,8 @@ type Worker struct {
 // benchmark-upkeep item).
 var processLedger = core.NewLedger(nil)
 
-// LeasesAcquired counts the process's successful lease claims, fresh
-// and reclaimed.
+// LeasesAcquired counts the process's lease claims, fresh and
+// reclaimed, whose holder went on to run the cell.
 func LeasesAcquired() int64 { return processLedger.Count(core.LeaseAcquired) }
 
 // LeaseRenewals counts the process's lease heartbeat renewals.
@@ -220,14 +220,9 @@ func (w *Worker) claimOrder() []int {
 	famIdx := make(map[string]int)
 	var families [][]int
 	for i, ref := range w.cells {
-		// Resolve the cell's options exactly as the engine will, so the
-		// family computed here is the family the capture stage groups by.
-		opts := ref.Workload.Options
-		opts.Platform = ref.Platform.Platform
-		opts.Snapshot = nil
-		if ref.Variant.Apply != nil {
-			ref.Variant.Apply(&opts)
-		}
+		// The engine's own resolution, so the family computed here is
+		// the family the capture stage groups by.
+		opts := campaign.CellOptions(ref.Workload, ref.Platform, ref.Variant)
 		fid := core.SnapshotKeyFor(ref.Workload.Name, opts).Family().ID()
 		gi, ok := famIdx[fid]
 		if !ok {
@@ -297,11 +292,12 @@ func (w *Worker) Run(ctx context.Context) (*Summary, error) {
 			}
 			if w.journaled(i) {
 				// A peer journaled the cell and let go of it between the
-				// check above and this claim.
+				// check above and this claim: no work, so no lease counted.
 				l.release()
 				settled++
 				continue
 			}
+			w.ledger.Add(core.LeaseAcquired)
 			abandoned, executed := w.runCell(ctx, i, l, len(hist)+1)
 			if abandoned {
 				return nil, errAbandoned
@@ -450,7 +446,7 @@ func sweepStaging(fs faultfs.FS, dir string) int {
 	n := 0
 	for _, ent := range entries {
 		name := ent.Name()
-		if !ent.IsDir() && strings.HasPrefix(name, ".") && strings.Contains(name, ".tmp") {
+		if !ent.IsDir() && fsatomic.IsStaging(name) {
 			if fs.Remove(filepath.Join(dir, name)) == nil {
 				n++
 			}

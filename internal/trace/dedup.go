@@ -6,23 +6,22 @@ import (
 	"hmpt/internal/wire"
 )
 
-// This file implements the run-length/loop-structure deduplication layer
-// of the trace pipeline. Iterative kernels (the NPB solvers, k-Wave)
-// emit the same handful of phase shapes once per timestep: the recorder
-// collapses *adjacent* identical phases, but a multi-phase loop body
-// (compute_aux, compute_rhs, x_solve, ... per iteration) never repeats
-// back to back, so the recorded trace grows linearly with the iteration
-// count even though it contains only a few distinct shapes.
+// This file implements the phase deduplication of the trace pipeline.
+// Iterative kernels (the NPB solvers, k-Wave) emit the same handful of
+// phase shapes once per timestep: the recorder collapses *adjacent*
+// identical phases, but a multi-phase loop body (compute_aux,
+// compute_rhs, x_solve, ... per iteration) never repeats back to back,
+// so the recorded trace grows linearly with the iteration count even
+// though it contains only a few distinct shapes.
 //
-// Dedup recovers that loop structure: phases are content-hashed into a
-// table of distinct shapes, and the original sequence becomes a list of
-// Block{Phase, Count} runs. Canonical folds the blocks further into the
-// canonical compact trace — each distinct shape exactly once, in first-
-// appearance order, with Repeat carrying its total multiplicity. Every
-// downstream pass (sweep compilation and costing, IBS sampling, snapshot
-// encoding, analysis caching) is linear in the phases of the trace it
-// consumes and already scales each phase by Times(), so a pipeline fed
-// canonical traces is O(unique phases) end to end.
+// Canonical folds the trace into its canonical compact form: each
+// distinct shape exactly once, in first-appearance order, with Repeat
+// carrying its total multiplicity. It is the pipeline's one
+// deduplication. Every downstream pass (sweep compilation and costing,
+// IBS sampling, snapshot encoding, analysis caching) is linear in the
+// phases of the trace it consumes and already scales each phase by
+// Times(), so a pipeline fed canonical traces is O(unique phases) end
+// to end.
 //
 // Canonicalisation reorders repeats of a shape next to each other, which
 // is sound because every consumer treats phases as an unordered bag of
@@ -35,11 +34,11 @@ import (
 // including the retained bit-exactness oracles, consumes the one
 // canonical trace and stays byte-identical across paths.
 
-// PhaseHash returns the content hash of a phase's shape: every field
+// phaseHash returns the content hash of a phase's shape: every field
 // that affects costing and sampling except the repeat count. Two phases
-// with equal hashes are almost certainly the same shape; SameShape is
-// the collision-proof equality the dedup table confirms with.
-func PhaseHash(p *Phase) uint64 {
+// with equal hashes are almost certainly the same shape; sameShape is
+// the collision-proof equality Canonical confirms with.
+func phaseHash(p *Phase) uint64 {
 	h := fnv.New64a()
 	w := wire.NewHashWriter(h)
 	w.Str(p.Name)
@@ -60,10 +59,10 @@ func PhaseHash(p *Phase) uint64 {
 	return h.Sum64()
 }
 
-// SameShape reports whether two phases are the same shape: equal in
+// sameShape reports whether two phases are the same shape: equal in
 // every field that affects costing and sampling, ignoring only the
 // repeat count.
-func SameShape(a, b *Phase) bool {
+func sameShape(a, b *Phase) bool {
 	if a.Name != b.Name || a.Threads != b.Threads || a.Flops != b.Flops ||
 		a.VectorFrac != b.VectorFrac || a.FlopEff != b.FlopEff ||
 		len(a.Streams) != len(b.Streams) {
@@ -77,105 +76,33 @@ func SameShape(a, b *Phase) bool {
 	return true
 }
 
-// ShapeIndexer assigns dense indices to distinct phase shapes as they
-// are presented, in first-appearance order. Lookups go through the
-// content hash and are confirmed by SameShape, so a hash collision can
-// never alias two different shapes.
-type ShapeIndexer struct {
-	byHash map[uint64][]int32
-	shapes []*Phase
-}
-
-// Index returns the shape index of p, registering it if unseen. The
-// returned phase pointer must stay valid for the indexer's lifetime.
-func (x *ShapeIndexer) Index(p *Phase) int32 {
-	if x.byHash == nil {
-		x.byHash = make(map[uint64][]int32)
-	}
-	h := PhaseHash(p)
-	for _, i := range x.byHash[h] {
-		if SameShape(x.shapes[i], p) {
-			return i
-		}
-	}
-	i := int32(len(x.shapes))
-	x.shapes = append(x.shapes, p)
-	x.byHash[h] = append(x.byHash[h], i)
-	return i
-}
-
-// Shapes returns the registered shapes in first-appearance order.
-func (x *ShapeIndexer) Shapes() []*Phase { return x.shapes }
-
-// Block is one run of the deduplicated sequence: the referenced distinct
-// phase repeats Count times back to back at this point of the trace.
-type Block struct {
-	Phase int32 // index into Dedup.Phases
-	Count int64 // total repeats of the run (the merged phases' Times sum)
-}
-
-// Dedup is the deduplicated form of a trace: the distinct phase shapes
-// in first-appearance order and the original sequence as (phase, count)
-// block runs. The shape phases carry Repeat == 0; multiplicity lives in
-// the blocks.
-type Dedup struct {
-	Phases []Phase
-	Blocks []Block
-	// Positions is the phase count of the source trace — what the block
-	// structure compressed.
-	Positions int
-}
-
-// Dedup builds the deduplicated form of the trace. Shape phases own
-// fresh stream slices and never alias the source trace.
-func (t *Trace) Dedup() *Dedup {
-	d := &Dedup{Positions: len(t.Phases)}
-	var x ShapeIndexer
+// Canonical returns the canonical compact form of the trace: each
+// distinct phase shape exactly once, in first-appearance order, with
+// Repeat carrying its total multiplicity (the sum of Times over the
+// phases of that shape). Shapes are looked up by phaseHash and confirmed
+// by sameShape, so a hash collision can never merge two shapes. The
+// result owns all of its slices. Canonical is idempotent — the
+// canonical form of a canonical trace is itself — and exactly preserves
+// TotalBytes (integer arithmetic) and the multiset of (shape,
+// multiplicity) pairs.
+func (t *Trace) Canonical() *Trace {
+	out := &Trace{Phases: []Phase{}}
+	byHash := make(map[uint64][]int32, len(t.Phases))
+next:
 	for i := range t.Phases {
 		p := &t.Phases[i]
-		idx := x.Index(p)
-		if int(idx) == len(d.Phases) {
-			shape := *p
-			shape.Repeat = 0
-			shape.Streams = append([]Stream(nil), p.Streams...)
-			d.Phases = append(d.Phases, shape)
+		h := phaseHash(p)
+		for _, j := range byHash[h] {
+			if q := &out.Phases[j]; sameShape(q, p) {
+				q.Repeat += p.Times()
+				continue next
+			}
 		}
-		if n := len(d.Blocks); n > 0 && d.Blocks[n-1].Phase == idx {
-			d.Blocks[n-1].Count += p.Times()
-			continue
-		}
-		d.Blocks = append(d.Blocks, Block{Phase: idx, Count: p.Times()})
+		byHash[h] = append(byHash[h], int32(len(out.Phases)))
+		shape := *p
+		shape.Repeat = p.Times()
+		shape.Streams = append([]Stream(nil), p.Streams...)
+		out.Phases = append(out.Phases, shape)
 	}
-	return d
+	return out
 }
-
-// Counts returns the total multiplicity of every distinct shape, indexed
-// like Phases.
-func (d *Dedup) Counts() []int64 {
-	counts := make([]int64, len(d.Phases))
-	for _, b := range d.Blocks {
-		counts[b.Phase] += b.Count
-	}
-	return counts
-}
-
-// Canonical folds the blocks into the canonical compact trace: each
-// distinct shape exactly once, in first-appearance order, with Repeat
-// carrying its total multiplicity. The result owns all of its slices.
-func (d *Dedup) Canonical() *Trace {
-	counts := d.Counts()
-	tr := &Trace{Phases: make([]Phase, len(d.Phases))}
-	for i := range d.Phases {
-		p := d.Phases[i]
-		p.Repeat = counts[i]
-		p.Streams = append([]Stream(nil), p.Streams...)
-		tr.Phases[i] = p
-	}
-	return tr
-}
-
-// Canonical returns the canonical compact form of the trace:
-// t.Dedup().Canonical(). It is idempotent — the canonical form of a
-// canonical trace is itself — and exactly preserves TotalBytes (integer
-// arithmetic) and the multiset of (shape, multiplicity) pairs.
-func (t *Trace) Canonical() *Trace { return t.Dedup().Canonical() }

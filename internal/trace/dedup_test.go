@@ -42,26 +42,11 @@ func demoShapes() []Phase {
 
 // TestDedupFoldsLoopStructure: a 3-shape body iterated 50 times folds to
 // 3 distinct phases with multiplicity 50 each, in first-appearance
-// order, and the block list reflects the 150-position sequence.
+// order.
 func TestDedupFoldsLoopStructure(t *testing.T) {
 	shapes := demoShapes()
 	tr := loopTrace(shapes, 50)
-	d := tr.Dedup()
-	if len(d.Phases) != 3 {
-		t.Fatalf("distinct shapes = %d, want 3", len(d.Phases))
-	}
-	if d.Positions != 150 {
-		t.Errorf("positions = %d, want 150", d.Positions)
-	}
-	if len(d.Blocks) != 150 {
-		t.Errorf("blocks = %d, want 150 (no adjacent runs in a round-robin body)", len(d.Blocks))
-	}
-	for i, c := range d.Counts() {
-		if c != 50 {
-			t.Errorf("shape %d count = %d, want 50", i, c)
-		}
-	}
-	can := d.Canonical()
+	can := tr.Canonical()
 	if len(can.Phases) != 3 {
 		t.Fatalf("canonical phases = %d, want 3", len(can.Phases))
 	}
@@ -79,8 +64,8 @@ func TestDedupFoldsLoopStructure(t *testing.T) {
 }
 
 // TestDedupRespectsRepeat: pre-coalesced Repeat counts fold into the
-// multiplicity (a phase with Repeat 4 counts as 4), and adjacent
-// same-shape phases merge into one block.
+// multiplicity (a phase with Repeat 4 counts as 4, Repeat 0 as once),
+// whether the same-shape phases are adjacent or not.
 func TestDedupRespectsRepeat(t *testing.T) {
 	shapes := demoShapes()
 	tr := &Trace{}
@@ -89,18 +74,13 @@ func TestDedupRespectsRepeat(t *testing.T) {
 	tr.Phases = append(tr.Phases, a, shapes[1])
 	b := shapes[0]
 	b.Repeat = 2
-	c := shapes[0] // Repeat 0 == once, adjacent to b: same shape, one block
+	c := shapes[0] // Repeat 0 == once
 	tr.Phases = append(tr.Phases, b, c)
 
-	d := tr.Dedup()
-	if len(d.Phases) != 2 {
-		t.Fatalf("distinct shapes = %d, want 2", len(d.Phases))
+	can := tr.Canonical()
+	if len(can.Phases) != 2 {
+		t.Fatalf("distinct shapes = %d, want 2", len(can.Phases))
 	}
-	wantBlocks := []Block{{Phase: 0, Count: 4}, {Phase: 1, Count: 1}, {Phase: 0, Count: 3}}
-	if !reflect.DeepEqual(d.Blocks, wantBlocks) {
-		t.Errorf("blocks = %+v, want %+v", d.Blocks, wantBlocks)
-	}
-	can := d.Canonical()
 	if can.Phases[0].Times() != 7 || can.Phases[1].Times() != 1 {
 		t.Errorf("canonical multiplicities = %d, %d, want 7, 1", can.Phases[0].Times(), can.Phases[1].Times())
 	}
@@ -118,8 +98,8 @@ func TestCanonicalIdempotent(t *testing.T) {
 }
 
 // TestDedupDegenerateTraceZeroOverhead: a trace with no repetition at
-// all dedups to itself — same phases, same order, one block per phase —
-// and its canonical form encodes to exactly the same snapshot bytes as
+// all canonicalises to itself — same phases, same order — and its
+// canonical form encodes to exactly the same snapshot bytes as
 // the original, so non-iterative workloads pay nothing for the layer.
 func TestDedupDegenerateTraceZeroOverhead(t *testing.T) {
 	shapes := demoShapes()
@@ -129,19 +109,14 @@ func TestDedupDegenerateTraceZeroOverhead(t *testing.T) {
 		p.Flops += units.Flops(i * 1000) // make every phase distinct
 		tr.Phases = append(tr.Phases, p)
 	}
-	d := tr.Dedup()
-	if len(d.Phases) != len(tr.Phases) || len(d.Blocks) != len(tr.Phases) {
-		t.Fatalf("degenerate dedup: %d shapes / %d blocks, want %d / %d",
-			len(d.Phases), len(d.Blocks), len(tr.Phases), len(tr.Phases))
-	}
-	can := d.Canonical()
+	can := tr.Canonical()
 	// Times-normalisation aside (Repeat 0 becomes 1), the canonical
 	// trace is the original.
 	if len(can.Phases) != len(tr.Phases) {
 		t.Fatalf("canonical phases = %d, want %d", len(can.Phases), len(tr.Phases))
 	}
 	for i := range can.Phases {
-		if !SameShape(&can.Phases[i], &tr.Phases[i]) || can.Phases[i].Times() != tr.Phases[i].Times() {
+		if !sameShape(&can.Phases[i], &tr.Phases[i]) || can.Phases[i].Times() != tr.Phases[i].Times() {
 			t.Errorf("canonical phase %d diverged from the original", i)
 		}
 	}
@@ -220,11 +195,11 @@ func randomTrace(rng *xrand.Rand) *Trace {
 }
 
 // TestDedupPropertyRoundTrip: for arbitrary random block structures,
-// (a) the snapshot codec round-trips the raw trace exactly, (b) dedup
-// preserves TotalBytes and the per-shape multiplicity multiset, (c)
-// Canonical is idempotent, and (d) the canonical form of the decoded
-// snapshot equals the canonical form of the original — encode/decode
-// and dedup commute.
+// (a) the snapshot codec round-trips the raw trace exactly, (b)
+// Canonical preserves TotalBytes and equals a naive quadratic fold, so
+// every shape keeps its total multiplicity, (c) Canonical is
+// idempotent, and (d) the canonical form of the decoded snapshot equals
+// the canonical form of the original — encode/decode and dedup commute.
 func TestDedupPropertyRoundTrip(t *testing.T) {
 	rng := xrand.New(99)
 	for trial := 0; trial < 200; trial++ {
@@ -252,23 +227,10 @@ func TestDedupPropertyRoundTrip(t *testing.T) {
 			t.Fatalf("trial %d: re-encoding changed bytes", trial)
 		}
 
-		d := tr.Dedup()
-		var blockSum int64
-		for _, b := range d.Blocks {
-			if b.Count <= 0 {
-				t.Fatalf("trial %d: non-positive block count %d", trial, b.Count)
-			}
-			blockSum += b.Count
-		}
-		var timesSum int64
-		for i := range tr.Phases {
-			timesSum += tr.Phases[i].Times()
-		}
-		if blockSum != timesSum {
-			t.Fatalf("trial %d: blocks carry %d repeats, trace has %d", trial, blockSum, timesSum)
-		}
-
 		can := tr.Canonical()
+		if want := naiveCanonical(tr); !reflect.DeepEqual(can, want) {
+			t.Fatalf("trial %d: Canonical diverged from the naive fold:\n got %+v\nwant %+v", trial, can, want)
+		}
 		if got, want := can.TotalBytes(), tr.TotalBytes(); got != want {
 			t.Fatalf("trial %d: canonical TotalBytes %v, want %v", trial, got, want)
 		}
@@ -278,5 +240,47 @@ func TestDedupPropertyRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(can, dec.Trace.Canonical()) {
 			t.Fatalf("trial %d: dedup and codec do not commute", trial)
 		}
+	}
+}
+
+// naiveCanonical is the quadratic reference fold Canonical must equal:
+// every phase is compared against every distinct shape kept so far.
+func naiveCanonical(tr *Trace) *Trace {
+	out := &Trace{Phases: []Phase{}}
+next:
+	for i := range tr.Phases {
+		p := tr.Phases[i]
+		for j := range out.Phases {
+			if sameShape(&out.Phases[j], &p) {
+				out.Phases[j].Repeat += p.Times()
+				continue next
+			}
+		}
+		p.Repeat = p.Times()
+		p.Streams = append([]Stream(nil), p.Streams...)
+		out.Phases = append(out.Phases, p)
+	}
+	return out
+}
+
+// TestCanonicalEmptyTrace: an empty trace (nil or empty phase slice)
+// canonicalises to a trace with an empty, non-nil phase slice.
+func TestCanonicalEmptyTrace(t *testing.T) {
+	want := &Trace{Phases: []Phase{}}
+	for _, tr := range []*Trace{{}, {Phases: []Phase{}}} {
+		if got := tr.Canonical(); !reflect.DeepEqual(got, want) {
+			t.Errorf("Canonical(%#v) = %#v, want %#v", tr, got, want)
+		}
+	}
+}
+
+// TestCanonicalOwnsItsStreams: the canonical trace never aliases the
+// stream slices of the trace it was folded from.
+func TestCanonicalOwnsItsStreams(t *testing.T) {
+	tr := loopTrace(demoShapes(), 2)
+	can := tr.Canonical()
+	can.Phases[0].Streams[0].Bytes++
+	if tr.Phases[0].Streams[0].Bytes == can.Phases[0].Streams[0].Bytes {
+		t.Fatal("canonical trace aliases the source trace's streams")
 	}
 }

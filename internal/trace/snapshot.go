@@ -94,7 +94,7 @@ type Meta struct {
 //
 // v3 added the iteration-count override to Meta, and captures began
 // storing the canonical deduplicated trace (each distinct phase shape
-// once, multiplicity in Repeat — see Dedup): the embedded sample counts
+// once, multiplicity in Repeat — see Canonical): the embedded sample counts
 // of a v2 capture were derived over the raw phase sequence and would not
 // validate against a canonicalised replay, so the bump retires them
 // wholesale.

@@ -192,7 +192,7 @@ func NewRecorder() *Recorder { return &Recorder{} }
 func (r *Recorder) Emit(p Phase) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if n := len(r.phases); n > 0 && SameShape(&r.phases[n-1], &p) {
+	if n := len(r.phases); n > 0 && sameShape(&r.phases[n-1], &p) {
 		r.phases[n-1].Repeat = r.phases[n-1].Times() + p.Times()
 		return
 	}
