@@ -369,8 +369,11 @@ func BenchmarkAblationNoise(b *testing.B) {
 // ---------------------------------------------------------------------
 
 // sweepBenchSetup runs the npb.bt reduced instance once and returns its
-// machine, trace, and tuned allocation groups — the paper's 8-group /
-// 256-configuration sweep shape.
+// machine, canonical trace, and tuned allocation groups — the paper's
+// 8-group / 256-configuration sweep shape over the trace a capture
+// compiles (core.executeReference canonicalises before anything else
+// sees the trace). The raw recorder trace is measured by
+// BenchmarkDedupSweep's raw-10x sweep.
 func sweepBenchSetup(b *testing.B) (*memsim.Machine, *trace.Trace, []core.Group) {
 	b.Helper()
 	spec, err := experiments.SpecFor("npb.bt")
@@ -389,7 +392,7 @@ func sweepBenchSetup(b *testing.B) (*memsim.Machine, *trace.Trace, []core.Group)
 	if err := w.Run(env); err != nil {
 		b.Fatal(err)
 	}
-	return memsim.NewMachine(platform()), env.Rec.Trace(), an.Groups
+	return memsim.NewMachine(platform()), env.Rec.Trace().Canonical(), an.Groups
 }
 
 func sweepBenchPlacement(p *memsim.Platform, groups []core.Group, mask uint32) *memsim.SimplePlacement {

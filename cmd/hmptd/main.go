@@ -3,8 +3,12 @@
 // internal/server for the API; `hmptd loadgen` is the matching
 // deterministic closed-loop load generator.
 //
-//	hmptd -addr 127.0.0.1:8080 -cache /var/cache/hmpt
+//	hmptd -addr 127.0.0.1:8080 -cache /var/cache/hmpt [-memo-bytes 16777216]
 //	hmptd loadgen -url http://127.0.0.1:8080 -clients 4 -requests 64
+//
+// The daemon keeps completed captures and analyses in memory under the
+// -memo-bytes budget, evicting the least recently used; an evicted key
+// is served from the -cache directories (or recomputed without them).
 package main
 
 import (
@@ -54,6 +58,7 @@ func serve(args []string) error {
 	maxConc := fs.Int("max-concurrent", 0, "max concurrent campaign runs (0 = unlimited)")
 	reqTimeout := fs.Duration("request-timeout", 0, "server-side per-request deadline (0 = none; requests may set timeout_ms)")
 	cacheReprobe := fs.Duration("cache-reprobe", 0, "degraded-cache re-probe interval (0 = publisher default)")
+	memoBytes := fs.Int64("memo-bytes", server.DefaultMemoBytes, "byte budget of the in-memory store of completed captures and analyses; least recently used entries beyond it are evicted to the disk caches (must be > 0)")
 	faultSeed := fs.Uint64("fault-seed", 1, "chaos: fault-injection RNG seed")
 	faultEIO := fs.Float64("fault-eio", 0, "chaos: probability of injected EIO per cache write")
 	faultENOSPC := fs.Float64("fault-enospc", 0, "chaos: probability of injected ENOSPC per cache write")
@@ -67,6 +72,9 @@ func serve(args []string) error {
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q (subcommands: loadgen)", fs.Arg(0))
+	}
+	if *memoBytes <= 0 {
+		return fmt.Errorf("-memo-bytes must be > 0, got %d", *memoBytes)
 	}
 	if *analysisDir == "" && *cacheDir != "" {
 		*analysisDir = filepath.Join(*cacheDir, "analyses")
@@ -99,6 +107,7 @@ func serve(args []string) error {
 		MaxConcurrent:    *maxConc,
 		RequestTimeout:   *reqTimeout,
 		CacheReprobe:     *cacheReprobe,
+		MemoBytes:        *memoBytes,
 		Injector:         inj,
 		Log:              logger,
 	})

@@ -215,11 +215,12 @@ type Engine struct {
 	// Flights is the engine's in-process store. It coalesces concurrent
 	// identical capture and analysis computations across engine runs —
 	// N runs needing the same capture or the same analysis at the same
-	// moment execute it once and share the result — and retains every
-	// computed value and every disk-cache hit, probed before the disk
-	// caches (see FlightGroup). nil creates a private group per Run, so
-	// nothing is shared beyond that run; the serving layer shares one
-	// group across all requests.
+	// moment execute it once and share the result — and retains
+	// computed values and disk-cache hits, probed before the disk
+	// caches (see FlightGroup). nil creates a private, unbounded group
+	// per Run, so nothing is shared beyond that run; the serving layer
+	// shares one byte-budgeted group across all requests, whose evicted
+	// keys fall through to Cache and Analyses.
 	Flights *FlightGroup
 	// Parallelism caps the worker goroutines of the capture and
 	// analysis fan-outs (0 = GOMAXPROCS). Results are identical for
@@ -547,9 +548,9 @@ func keyCell(cell *Cell, w *cellWork, rc *core.ReplayContext) {
 
 // probe serves a keyed cell's analysis from the group's completed
 // entries or the analysis cache, nil on a miss. A disk hit is retained in
-// the group, so the next request for the key is a memory hit. A
-// present-but-unreadable disk entry is recorded as a non-fatal
-// degradation and treated as a miss.
+// the group, so the next request for the key is a memory hit until the
+// group evicts it. A present-but-unreadable disk entry is recorded as a
+// non-fatal degradation and treated as a miss.
 func (e *Engine) probe(flights *FlightGroup, w *cellWork) *core.Analysis {
 	if !w.haveKey {
 		return nil
@@ -702,9 +703,10 @@ func (e *Engine) deriveCapture(ctx context.Context, c *capture, bases []*trace.S
 
 // loadCapture serves a capture — and its shared replay context — from
 // the group's completed entries or the exact-key disk cache, reporting
-// whether it resolved. A disk hit is retained in the group, so the next
-// request for the key is a memory hit. A corrupt cache entry is treated
-// as a miss (recorded as degradation) and later overwritten.
+// whether it resolved. A disk hit is retained in the group with a fresh
+// replay context, so the next request for the key is a memory hit until
+// the group evicts it. A corrupt cache entry is treated as a miss
+// (recorded as degradation) and later overwritten.
 func (e *Engine) loadCapture(flights *FlightGroup, c *capture) bool {
 	if val, ok := flights.lookup(c.id); ok {
 		out := val.(capOutcome)

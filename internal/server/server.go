@@ -1,12 +1,13 @@
 // Package server is the hmptd serving layer: a long-running HTTP
 // front-end over the campaign engine that keeps the whole cache ladder
 // hot across requests. One process-wide FlightGroup — the in-process
-// store — plus the snapshot cache and the analysis cache back every
-// request, so the engine's exactly-once guarantees extend across
-// concurrent clients: N identical requests arriving together execute
-// at most one kernel and one placement sweep, and a warm request is
-// served from memory with zero kernels, zero sampling passes, zero
-// placement passes and zero derived snapshots.
+// store, kept under a byte budget (Config.MemoBytes) — plus the
+// snapshot cache and the analysis cache back every request, so the
+// engine's exactly-once guarantees extend across concurrent clients: N
+// identical requests arriving together execute at most one kernel and
+// one placement sweep, and a warm request is served from memory (or,
+// once evicted, from disk) with zero kernels, zero sampling passes,
+// zero placement passes and zero derived snapshots.
 //
 // The API is deliberately small:
 //
@@ -51,6 +52,11 @@ import (
 // status for a request whose client went away before the response.
 const StatusClientClosedRequest = 499
 
+// DefaultMemoBytes is the flight group's byte budget when
+// Config.MemoBytes is 0: room for a few hundred analyses and captures,
+// against a heap that otherwise grows with every key served.
+const DefaultMemoBytes = 16 << 20
+
 // Config wires a Server to its caches and capacity limits.
 type Config struct {
 	// CacheDir roots the on-disk snapshot cache; empty keeps captures
@@ -77,6 +83,13 @@ type Config struct {
 	// CacheReprobe overrides how long a degraded cache publisher waits
 	// before re-probing the disk (0 = the publisher default).
 	CacheReprobe time.Duration
+	// MemoBytes is the byte budget of the process's flight group, the
+	// in-process store: completed captures and analyses beyond it are
+	// evicted least recently used first, and an evicted key falls
+	// through to the disk caches (or is recomputed when they are not
+	// configured). 0 means DefaultMemoBytes; a negative budget is
+	// refused.
+	MemoBytes int64
 	// Log receives request and lifecycle lines; nil uses the default
 	// logger.
 	Log *log.Logger
@@ -99,14 +112,20 @@ type Server struct {
 }
 
 // New builds a Server over the configured cache tree. Engines created
-// per request share one FlightGroup for the life of the process — that
-// sharing is what turns the engine's per-run guarantees into
-// serving-layer guarantees.
+// per request share one FlightGroup, bounded by cfg.MemoBytes, for the
+// life of the process — that sharing is what turns the engine's per-run
+// guarantees into serving-layer guarantees.
 func New(cfg Config) (*Server, error) {
+	if cfg.MemoBytes < 0 {
+		return nil, fmt.Errorf("server: memo budget %d bytes is negative", cfg.MemoBytes)
+	}
+	if cfg.MemoBytes == 0 {
+		cfg.MemoBytes = DefaultMemoBytes
+	}
 	s := &Server{
 		cfg:     cfg,
 		log:     cfg.Log,
-		flights: campaign.NewFlightGroup(),
+		flights: campaign.NewBoundedFlightGroup(cfg.MemoBytes),
 		work:    core.NewLedger(nil),
 	}
 	if s.log == nil {

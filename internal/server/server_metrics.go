@@ -94,8 +94,11 @@ func newMetrics(s *Server) *serverMetrics {
 		"Requests currently blocked on another request's in-flight computation.",
 		func() float64 { return float64(s.flights.Waiters()) })
 	reg.NewGaugeFunc("hmptd_flights_retained",
-		"Completed entries in the shared flight group, the process's one in-process store: finished computations and retained cache hits.",
+		"Completed entries in the shared flight group, the process's one in-process store: finished computations and retained cache hits, at most what the memo budget holds.",
 		func() float64 { return float64(s.flights.Retained()) })
+	reg.NewCounterFunc("hmptd_memo_evictions_total",
+		"Completed entries evicted from the flight group, least recently used first, to stay within the memo budget; an evicted key falls through to the disk caches.",
+		func() float64 { return float64(s.flights.Evictions()) })
 
 	// Cache traffic per rung. A rung that is not configured reports a
 	// frozen all-zero family rather than disappearing from the scrape.

@@ -122,7 +122,7 @@ func (s *Snapshot) EncodeBytes() ([]byte, error) {
 		return nil, fmt.Errorf("trace: snapshot missing registry or trace")
 	}
 	var e wire.Encoder
-	e.Grow(s.encodedLen())
+	e.Grow(s.EncodedLen())
 	e.Raw([]byte(snapshotMagic))
 	e.U32(SnapshotVersion)
 
@@ -193,9 +193,10 @@ func (s *Snapshot) EncodeBytes() ([]byte, error) {
 	return e.Seal(), nil
 }
 
-// encodedLen is the exact length EncodeBytes produces, so an encode
-// sizes its buffer once.
-func (s *Snapshot) encodedLen() int {
+// EncodedLen is the exact length EncodeBytes produces, so an encode
+// sizes its buffer once (and the campaign engine's in-process store can
+// charge a retained capture without encoding it).
+func (s *Snapshot) EncodedLen() int {
 	n := len(snapshotMagic) + 4
 	n += wire.StrLen(s.Meta.Workload) + wire.StrLen(s.Meta.Config) + 8*8
 	n += 4 + 3*8

@@ -314,7 +314,7 @@ func TestSnapshotKeyID(t *testing.T) {
 	}
 }
 
-// TestSnapshotEncodedLenIsExact: encodedLen predicts the encoding's
+// TestSnapshotEncodedLenIsExact: EncodedLen predicts the encoding's
 // length exactly, so an encode sizes its buffer once.
 func TestSnapshotEncodedLenIsExact(t *testing.T) {
 	noSamples := sampleSnapshot()
@@ -328,8 +328,8 @@ func TestSnapshotEncodedLenIsExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(raw) != s.encodedLen() {
-			t.Errorf("%s: encoded %d bytes, encodedLen predicts %d", name, len(raw), s.encodedLen())
+		if len(raw) != s.EncodedLen() {
+			t.Errorf("%s: encoded %d bytes, EncodedLen predicts %d", name, len(raw), s.EncodedLen())
 		}
 	}
 }
