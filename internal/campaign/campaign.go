@@ -497,10 +497,14 @@ func (e *Engine) RunContext(ctx context.Context, m Matrix) (*Result, error) {
 				// privately, with the same panic isolation a flight
 				// provides.
 				cell.Analysis, cell.Err = safeAnalyze(ctx, c.ctx, cell.Options)
+				flights.recharge(c.id)
 				continue
 			}
 			val, fromCache, _, err := flights.do(ctx, work[i].id, func(fctx context.Context) (any, bool, error) {
 				an, aerr := core.NewContextReplay(c.ctx, cell.Options).AnalyzeContext(fctx)
+				// The replay may have memoised a report or an evaluator
+				// on the capture's context.
+				flights.recharge(c.id)
 				if aerr != nil {
 					return nil, false, aerr
 				}

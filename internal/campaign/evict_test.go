@@ -277,3 +277,60 @@ func TestEvictedEntriesFallThroughToDisk(t *testing.T) {
 		}
 	}
 }
+
+// TestRechargeKeepsCaptureChargesCurrent: a capture entry's replay
+// context memoises a sampling report and compiled evaluators for every
+// platform that replays it, so the entry outgrows the charge it was
+// retained with. The engine recharges it after each analysis, so while
+// hot captures are replayed on both platform presets between cold
+// ones, the group's used total stays exactly the sum of its listed
+// entries' current charges, and within the budget.
+func TestRechargeKeepsCaptureChargesCurrent(t *testing.T) {
+	const budget = 96 << 10
+	g := NewBoundedFlightGroup(budget)
+	e := &Engine{Flights: g}
+	matrix := func(seed uint64) Matrix {
+		m := testMatrix(t)
+		m.Workloads = m.Workloads[2:] // synth
+		m.Workloads[0].Options.Seed = seed
+		return m
+	}
+	memoised := false
+	check := func(step string) {
+		t.Helper()
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		var sum int64
+		for f := g.lru.next; f != &g.lru; f = f.next {
+			sum += int64(len(f.key)) + entryOverhead + entryBytes(f.val)
+			if c, ok := f.val.(capOutcome); ok && c.ctx.MemoBytes() > 0 {
+				memoised = true
+			}
+		}
+		if sum != g.used {
+			t.Fatalf("%s: listed entries' current charges sum to %d, the group accounts %d", step, sum, g.used)
+		}
+		if g.used > g.budget {
+			t.Fatalf("%s: %d bytes charged, over the %d-byte budget", step, g.used, g.budget)
+		}
+	}
+	hot := []uint64{1, 2}
+	for cold := uint64(100); cold < 112; cold++ {
+		for _, seed := range []uint64{cold, hot[cold%2]} {
+			res, err := e.Run(matrix(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := res.Err(); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("seed %d after cold %d", seed, cold))
+		}
+	}
+	if !memoised {
+		t.Error("no listed capture ever held a memo: the test exercised no recharge")
+	}
+	if g.Evictions() == 0 {
+		t.Error("nothing was evicted: the budget never bound")
+	}
+}

@@ -59,9 +59,11 @@ import (
 // NewBoundedFlightGroup charges every completed entry an estimate of
 // the heap it retains (entryBytes) and evicts from the back of the list
 // until the charges fit its byte budget; an entry larger than the whole
-// budget is handed to its callers but not retained. An evicted key is a
-// miss like any other, so the engine falls through to the disk rungs
-// exactly as a cold process would. Callers holding an evicted entry —
+// budget is handed to its callers but not retained. A capture entry's
+// replay context grows as analyses replay it, so the engine re-reads
+// its charge after each one (recharge), evicting the same way. An
+// evicted key is a miss like any other, so the engine falls through to
+// the disk rungs exactly as a cold process would. Callers holding an evicted entry —
 // a waiter that attached before the eviction, a run that adopted the
 // value — keep it: eviction only forgets the key. Entries still in
 // flight are never charged and never evicted. A NewFlightGroup group
@@ -227,6 +229,33 @@ func (g *FlightGroup) retain(f *flight) {
 	}
 }
 
+// recharge re-reads the charge of key's listed entry, whose value may
+// have grown since it was retained — a capture's replay context
+// memoises a sampling report and compiled evaluators per platform that
+// replays it — and evicts as retain does: the entry itself when it
+// alone outgrows the budget, then least recently used entries until the
+// charges fit. An unbounded group, or a key not listed, is left alone.
+func (g *FlightGroup) recharge(key string) {
+	if g.budget <= 0 {
+		return
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	f, ok := g.flights[key]
+	if !ok || f.prev == nil {
+		return
+	}
+	bytes := int64(len(f.key)) + entryOverhead + g.sizeOf(f.val)
+	g.used += bytes - f.bytes
+	f.bytes = bytes
+	if f.bytes > g.budget {
+		g.evict(f)
+	}
+	for g.used > g.budget {
+		g.evict(g.lru.prev)
+	}
+}
+
 // touch moves a listed entry to the front of the recency list. Caller
 // holds mu.
 func (g *FlightGroup) touch(f *flight) {
@@ -358,25 +387,28 @@ const (
 	// map slot; retain adds the key's bytes.
 	entryOverhead = int64(unsafe.Sizeof(flight{})) + 96 + 64
 	// captureBytesPerEncoded is what a capture entry retains per byte
-	// of its snapshot's encoding: the decoded snapshot (about 1.4×),
-	// the replay context's restored registry and trace copy (about
-	// 1.7×), and the sampling report and compiled sweep evaluator each
-	// platform replaying it memoises (2.4–6.4× per platform). Measured
-	// over Table I × 16 seeds replayed on both platform presets, the
-	// total ran 8.0–15.6× (median 9.9×).
-	captureBytesPerEncoded = 10
+	// of its snapshot's encoding before any analysis replays it: the
+	// snapshot and its replay context's restored registry and trace
+	// copy. Measured over Table I × 16 seeds, a decoded snapshot with
+	// its fresh context ran 1.9–2.5× its encoding; a freshly captured
+	// snapshot can hold about 1× more.
+	captureBytesPerEncoded = 3
 )
 
 // entryBytes is a bounded group's charge for a completed value: an
 // analysis by its decoded layout, a capture by its snapshot's encoded
-// length scaled to cover the replay context it holds. Any other value
-// is charged nothing beyond the entry overhead.
+// length scaled to cover its replay context, plus what that context has
+// memoised so far (core.ReplayContext.MemoBytes: 0.78–0.95× the
+// measured heap of the reports and evaluators, over Table I on both
+// platform presets). The engine recharges a capture entry after each
+// analysis that replays it. Any other value is charged nothing beyond
+// the entry overhead.
 func entryBytes(val any) int64 {
 	switch v := val.(type) {
 	case *core.Analysis:
 		return analysisBytes(v)
 	case capOutcome:
-		return captureBytesPerEncoded * int64(v.snap.EncodedLen())
+		return captureBytesPerEncoded*int64(v.snap.EncodedLen()) + v.ctx.MemoBytes()
 	}
 	return 0
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 
 	"hmpt/internal/shim"
@@ -171,10 +173,12 @@ func DecodeAnalysis(raw []byte) (*Analysis, string, error) {
 
 // ReadAnalysis consumes one analysis body written by AppendAnalysis and
 // returns it with its identifier. The caller owns the seal and any
-// trailing-bytes check. Every group's Allocs, every config's Groups and
-// every config's Times are carved out of one backing array per kind,
-// and the config labels share one string; zero-length slices decode as
-// nil.
+// trailing-bytes check. The header and groups are read field by field;
+// the config section — 2^k entries, most of the body — is parsed
+// straight from the decoder's remaining bytes by readConfigs. Every
+// group's Allocs, every config's Groups and every config's Times are
+// carved out of one backing array per kind, and the config labels share
+// one string; zero-length slices decode as nil.
 func ReadAnalysis(d *wire.Decoder) (*Analysis, string, error) {
 	if v := d.U32(); v != AnalysisVersion {
 		if err := d.Err(); err != nil {
@@ -234,6 +238,37 @@ func ReadAnalysis(d *wire.Decoder) (*Analysis, string, error) {
 	if err := d.Fits(uint64(nMembers)+uint64(nTimes), 8); err != nil {
 		return nil, "", err
 	}
+	if nConfigs > 0 {
+		an.Configs = make([]Config, nConfigs)
+	}
+	n, err := readConfigs(d.Rest(), an.Configs, int(nMembers), int(nTimes))
+	if err != nil {
+		return nil, "", err
+	}
+	d.Skip(n)
+
+	if err := d.Err(); err != nil {
+		return nil, "", err
+	}
+	return an, id, nil
+}
+
+// readConfigs parses the config entries (the section after its count
+// and totals) straight from b into cs and returns the bytes consumed. A
+// config is four runs of fixed-width fields, each closed by a length
+// that sizes the next, so it costs four length checks rather than one
+// bounds-checked Decoder call per field:
+//
+//	Mask u32, len(Groups) u32
+//	Groups i64 × n, len(Label) u32
+//	Label, HBMBytes i64, HBMFrac f64, SampleFrac f64, len(Times) u32
+//	Times f64 × n, MeanTime, Speedup, SpeedupCI, EstSpeedup f64, Feasible bool
+//
+// It accepts exactly the inputs field-by-field Decoder reads would and
+// decodes the same values (the differential fuzz target checks both).
+// Every config's Groups and Times are carved out of one backing array
+// per kind, and every label is a substring of one shared string.
+func readConfigs(b []byte, cs []Config, nMembers, nTimes int) (int, error) {
 	members := carver[int]{buf: make([]int, nMembers)}
 	times := carver[units.Duration]{buf: make([]units.Duration, nTimes)}
 	// Every config label is copied into one buffer and handed out as a
@@ -243,49 +278,76 @@ func ReadAnalysis(d *wire.Decoder) (*Analysis, string, error) {
 	// they normally share one allocation; the buffer holds label bytes
 	// only and pins nothing else of the payload.
 	var labels strings.Builder
-	labels.Grow(2 * (int(nConfigs) + int(nMembers)))
-	if nConfigs > 0 {
-		an.Configs = make([]Config, nConfigs)
-	}
-	for i := range an.Configs {
-		c := &an.Configs[i]
-		c.Mask = d.U32()
+	labels.Grow(2 * (len(cs) + nMembers))
+	le := binary.LittleEndian
+	p := b
+	for i := range cs {
+		c := &cs[i]
+		if len(p) < 8 {
+			return 0, configTruncated(i)
+		}
+		c.Mask = le.Uint32(p)
+		ng := le.Uint32(p[4:])
+		p = p[8:]
+		if uint64(len(p)) < 8*uint64(ng)+4 {
+			return 0, configTruncated(i)
+		}
 		var err error
-		if c.Groups, err = members.next(d.U32()); err != nil {
-			return nil, "", err
+		if c.Groups, err = members.next(ng); err != nil {
+			return 0, err
 		}
 		for j := range c.Groups {
-			c.Groups[j] = int(d.I64())
+			c.Groups[j] = int(int64(le.Uint64(p[8*j:])))
+		}
+		p = p[8*int(ng):]
+		nl := le.Uint32(p)
+		p = p[4:]
+		if uint64(len(p)) < uint64(nl)+3*8+4 {
+			return 0, configTruncated(i)
 		}
 		start := labels.Len()
-		labels.Write(d.StrBytes())
+		labels.Write(p[:nl])
 		c.Label = labels.String()[start:]
-		c.HBMBytes = units.Bytes(d.I64())
-		c.HBMFrac = d.F64()
-		c.SampleFrac = d.F64()
-		if c.Times, err = times.next(d.U32()); err != nil {
-			return nil, "", err
+		p = p[nl:]
+		c.HBMBytes = units.Bytes(int64(le.Uint64(p)))
+		c.HBMFrac = math.Float64frombits(le.Uint64(p[8:]))
+		c.SampleFrac = math.Float64frombits(le.Uint64(p[16:]))
+		nt := le.Uint32(p[24:])
+		p = p[28:]
+		if uint64(len(p)) < 8*uint64(nt)+4*8+1 {
+			return 0, configTruncated(i)
+		}
+		if c.Times, err = times.next(nt); err != nil {
+			return 0, err
 		}
 		for j := range c.Times {
-			c.Times[j] = units.Duration(d.F64())
+			c.Times[j] = units.Duration(math.Float64frombits(le.Uint64(p[8*j:])))
 		}
-		c.MeanTime = units.Duration(d.F64())
-		c.Speedup = d.F64()
-		c.SpeedupCI = d.F64()
-		c.EstSpeedup = d.F64()
-		c.Feasible = d.Bool()
+		p = p[8*int(nt):]
+		c.MeanTime = units.Duration(math.Float64frombits(le.Uint64(p)))
+		c.Speedup = math.Float64frombits(le.Uint64(p[8:]))
+		c.SpeedupCI = math.Float64frombits(le.Uint64(p[16:]))
+		c.EstSpeedup = math.Float64frombits(le.Uint64(p[24:]))
+		switch p[32] {
+		case 0:
+		case 1:
+			c.Feasible = true
+		default:
+			return 0, fmt.Errorf("core: analysis config %d: invalid bool byte %#x", i, p[32])
+		}
+		p = p[33:]
 	}
 	if err := members.done(); err != nil {
-		return nil, "", err
+		return 0, err
 	}
 	if err := times.done(); err != nil {
-		return nil, "", err
+		return 0, err
 	}
+	return len(b) - len(p), nil
+}
 
-	if err := d.Err(); err != nil {
-		return nil, "", err
-	}
-	return an, id, nil
+func configTruncated(i int) error {
+	return fmt.Errorf("core: analysis config %d truncated", i)
 }
 
 // carver hands out consecutive sub-slices of one backing array, each

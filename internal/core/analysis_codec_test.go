@@ -3,11 +3,16 @@ package core
 import (
 	"bytes"
 	"flag"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"hmpt/internal/shim"
+	"hmpt/internal/units"
 	"hmpt/internal/wire"
 	"hmpt/internal/workloads/synth"
 )
@@ -203,4 +208,211 @@ func requireAnalysisRoundTrip(t *testing.T, raw []byte) {
 	if !bytes.Equal(re, raw) {
 		t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(raw), len(re))
 	}
+}
+
+// FuzzReadAnalysisMatchesReference: the section-parsed decoder and the
+// field-by-field reference reader agree on every input — both accept
+// or both reject, and an accepted input decodes to reflect.DeepEqual
+// analyses under the same identifier. Each input is also tried
+// re-sealed, as in FuzzDecodeAnalysis, so mutations reach the body.
+func FuzzReadAnalysisMatchesReference(f *testing.F) {
+	if golden, err := os.ReadFile(goldenAnalysisPath); err == nil {
+		f.Add(golden)
+	}
+	live, err := New(synth.Default(), Options{Seed: 42}).Analyze()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, an := range []*Analysis{testAnalysis(), {Workload: "w"}, live} {
+		raw, err := EncodeAnalysisRaw("seed", an)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		requireDecodersAgree(t, raw)
+		if len(raw) >= wire.SealLen {
+			var e wire.Encoder
+			e.Raw(raw[:len(raw)-wire.SealLen])
+			requireDecodersAgree(t, e.Seal())
+		}
+	})
+}
+
+func requireDecodersAgree(t *testing.T, raw []byte) {
+	t.Helper()
+	an, id, err := DecodeAnalysis(raw)
+	ref, refID, refErr := referenceDecodeAnalysis(raw)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("decoders disagree on %d bytes: ReadAnalysis err %v, reference err %v", len(raw), err, refErr)
+	}
+	if err != nil {
+		return
+	}
+	if id != refID || !bitEqual(reflect.ValueOf(an), reflect.ValueOf(ref)) {
+		t.Fatalf("decoders accept %d bytes but decode different analyses (ids %q, %q)", len(raw), id, refID)
+	}
+}
+
+// bitEqual is reflect.DeepEqual with floats compared by bit image, so
+// two decodes of the same NaN (which DeepEqual never calls equal) agree
+// and two decodes of different NaN payloads or zero signs do not.
+func bitEqual(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float32, reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return bitEqual(a.Elem(), b.Elem())
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !bitEqual(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !bitEqual(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	default:
+		return a.Equal(b)
+	}
+}
+
+// referenceDecodeAnalysis is DecodeAnalysis over referenceReadAnalysis.
+func referenceDecodeAnalysis(raw []byte) (*Analysis, string, error) {
+	if len(raw) < len(analysisMagic)+4+wire.SealLen || string(raw[:len(analysisMagic)]) != analysisMagic {
+		return nil, "", fmt.Errorf("bad header")
+	}
+	payload, err := wire.CheckSeal(raw)
+	if err != nil {
+		return nil, "", err
+	}
+	d := wire.NewDecoder(payload[len(analysisMagic):])
+	an, id, err := referenceReadAnalysis(d)
+	if err != nil {
+		return nil, "", err
+	}
+	if d.Len() != 0 {
+		return nil, "", fmt.Errorf("%d trailing bytes", d.Len())
+	}
+	return an, id, nil
+}
+
+// referenceReadAnalysis reads an analysis body one wire.Decoder call
+// per field, the config section included: the straightforward reader
+// the section-parsed ReadAnalysis must agree with.
+func referenceReadAnalysis(d *wire.Decoder) (*Analysis, string, error) {
+	if v := d.U32(); v != AnalysisVersion {
+		if err := d.Err(); err != nil {
+			return nil, "", err
+		}
+		return nil, "", fmt.Errorf("analysis codec version %d", v)
+	}
+	id := d.Str()
+
+	an := &Analysis{}
+	an.Workload = d.Str()
+	an.Platform = d.Str()
+	an.TotalBytes = units.Bytes(d.I64())
+	an.Threads = int(d.I64())
+	an.Runs = int(d.I64())
+	an.BaselineTime = units.Duration(d.F64())
+	an.FilteredAllocs = int(d.I64())
+	an.TotalAllocs = int(d.I64())
+	an.SampleCount = int(d.I64())
+
+	nGroups, nAllocs := d.U32(), d.U32()
+	if err := d.Fits(uint64(nGroups), minGroupLen); err != nil {
+		return nil, "", err
+	}
+	if err := d.Fits(uint64(nAllocs), 8); err != nil {
+		return nil, "", err
+	}
+	allocs := carver[shim.AllocID]{buf: make([]shim.AllocID, nAllocs)}
+	if nGroups > 0 {
+		an.Groups = make([]Group, nGroups)
+	}
+	for i := range an.Groups {
+		g := &an.Groups[i]
+		g.Index = int(d.I64())
+		g.Label = d.Str()
+		g.Rest = d.Bool()
+		var err error
+		if g.Allocs, err = allocs.next(d.U32()); err != nil {
+			return nil, "", err
+		}
+		for j := range g.Allocs {
+			g.Allocs[j] = shim.AllocID(d.U64())
+		}
+		g.SimBytes = units.Bytes(d.I64())
+		g.Frac = d.F64()
+		g.Density = d.F64()
+		g.SoloSpeedup = d.F64()
+	}
+	if err := allocs.done(); err != nil {
+		return nil, "", err
+	}
+
+	nConfigs, nMembers, nTimes := d.U32(), d.U32(), d.U32()
+	if err := d.Fits(uint64(nConfigs), minConfigLen); err != nil {
+		return nil, "", err
+	}
+	if err := d.Fits(uint64(nMembers)+uint64(nTimes), 8); err != nil {
+		return nil, "", err
+	}
+	members := carver[int]{buf: make([]int, nMembers)}
+	times := carver[units.Duration]{buf: make([]units.Duration, nTimes)}
+	var labels strings.Builder
+	if nConfigs > 0 {
+		an.Configs = make([]Config, nConfigs)
+	}
+	for i := range an.Configs {
+		c := &an.Configs[i]
+		c.Mask = d.U32()
+		var err error
+		if c.Groups, err = members.next(d.U32()); err != nil {
+			return nil, "", err
+		}
+		for j := range c.Groups {
+			c.Groups[j] = int(d.I64())
+		}
+		start := labels.Len()
+		labels.Write(d.StrBytes())
+		c.Label = labels.String()[start:]
+		c.HBMBytes = units.Bytes(d.I64())
+		c.HBMFrac = d.F64()
+		c.SampleFrac = d.F64()
+		if c.Times, err = times.next(d.U32()); err != nil {
+			return nil, "", err
+		}
+		for j := range c.Times {
+			c.Times[j] = units.Duration(d.F64())
+		}
+		c.MeanTime = units.Duration(d.F64())
+		c.Speedup = d.F64()
+		c.SpeedupCI = d.F64()
+		c.EstSpeedup = d.F64()
+		c.Feasible = d.Bool()
+	}
+	if err := members.done(); err != nil {
+		return nil, "", err
+	}
+	if err := times.done(); err != nil {
+		return nil, "", err
+	}
+	if err := d.Err(); err != nil {
+		return nil, "", err
+	}
+	return an, id, nil
 }

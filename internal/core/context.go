@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
+	"sync/atomic"
 
 	"hmpt/internal/ibs"
 	"hmpt/internal/memsim"
@@ -46,6 +47,10 @@ type ReplayContext struct {
 	mu      sync.Mutex
 	reports map[string]*ibs.Report             // platform fingerprint -> shared report
 	evals   map[evalKey]*memsim.SweepEvaluator // pristine compiled evaluators
+
+	// memoBytes is the estimated heap of the count table, reports and
+	// evaluators memoised so far (MemoBytes).
+	memoBytes atomic.Int64
 }
 
 // evalKey identifies one compiled evaluator: the platform's content
@@ -94,6 +99,14 @@ func (c *ReplayContext) Sites() []shim.SiteGroup {
 	return c.sites
 }
 
+// MemoBytes estimates the heap the context's memos hold: the validated
+// count table, each platform's sampling report and each compiled sweep
+// evaluator. It starts at zero and grows as analyses replay the capture
+// on new platforms or partitions, so a store that charges a context by
+// its size re-reads it after each analysis (the campaign engine's
+// bounded flight group does).
+func (c *ReplayContext) MemoBytes() int64 { return c.memoBytes.Load() }
+
 // countTable returns the capture's validated count table — the
 // platform-independent half of report reconstruction — building it on
 // first use and sharing it across every platform of the capture. The
@@ -104,6 +117,9 @@ func (c *ReplayContext) countTable(ctx context.Context) (*ibs.CountTable, error)
 	c.countsOnce.Do(func() {
 		LedgerFrom(ctx).Add(CountWalk)
 		c.counts, c.countsErr = ibs.ValidateCounts(c.snap.Samples, c.tr, c.al)
+		if c.countsErr == nil {
+			c.memoBytes.Add(c.counts.HeapBytes())
+		}
 	})
 	return c.counts, c.countsErr
 }
@@ -137,6 +153,7 @@ func (c *ReplayContext) report(ctx context.Context, fp string, m *memsim.Machine
 		r = prev
 	} else {
 		c.reports[fp] = r
+		c.memoBytes.Add(r.HeapBytes())
 	}
 	c.mu.Unlock()
 	return r, nil
@@ -169,6 +186,7 @@ func (c *ReplayContext) evaluator(fp string, m *memsim.Machine, threads int, set
 		ev = prev
 	} else {
 		c.evals[key] = ev
+		c.memoBytes.Add(ev.HeapBytes())
 	}
 	c.mu.Unlock()
 	return ev.Clone(), nil

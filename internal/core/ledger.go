@@ -6,7 +6,8 @@ import (
 )
 
 // Event is one kind of work a Ledger counts: pipeline work first, then
-// the shard coordination events a shard worker counts on its own ledger.
+// the shard coordination events a shard worker counts on its own ledger,
+// then codec work.
 type Event int
 
 const (
@@ -26,6 +27,8 @@ const (
 	JournalSkip    // a shard cell found journaled by someone else
 	JournalInvalid // a journal record that failed validation, read as incomplete
 	CellFailure    // a failed shard cell attempt
+
+	AnalysisDecode // an analysis body decoded out of a shard journal record
 	numEvents
 )
 

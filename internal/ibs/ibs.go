@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"unsafe"
 
 	"hmpt/internal/memsim"
 	"hmpt/internal/shim"
@@ -82,6 +83,17 @@ type Report struct {
 	Period   int64 // cache lines per sample actually used
 	ByAlloc  map[shim.AllocID]*AllocStats
 	Unmapped int // samples not resolving to a live allocation
+}
+
+// mapSlotBytes estimates one ByAlloc map entry's share of the map: its
+// key, its value pointer and the buckets' slack at their usual load.
+const mapSlotBytes = 24
+
+// HeapBytes estimates the heap the report holds — one AllocStats and
+// one map entry per sampled allocation — for stores that charge what
+// they retain.
+func (r *Report) HeapBytes() int64 {
+	return int64(unsafe.Sizeof(*r)) + int64(len(r.ByAlloc))*(int64(unsafe.Sizeof(AllocStats{}))+mapSlotBytes)
 }
 
 // Density returns the combined sample density of the given allocations.
@@ -360,6 +372,12 @@ func ValidateCounts(c *trace.SampleCounts, tr *trace.Trace, al *shim.Allocator) 
 		}
 	}
 	return t, nil
+}
+
+// HeapBytes estimates the heap the table holds beyond the trace,
+// registry and counts it references: its per-allocation accumulator.
+func (t *CountTable) HeapBytes() int64 {
+	return int64(unsafe.Sizeof(*t)) + int64(unsafe.Sizeof(sampleAgg{}))*int64(cap(t.byAlloc))
 }
 
 // Report derives the full report of the validated table against one

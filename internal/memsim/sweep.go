@@ -3,6 +3,7 @@ package memsim
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"hmpt/internal/shim"
 	"hmpt/internal/trace"
@@ -232,6 +233,23 @@ func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
 
 // NumGroups returns the number of groups in the compiled partition.
 func (e *SweepEvaluator) NumGroups() int { return len(e.pools) }
+
+// HeapBytes estimates the heap the evaluator holds — its compiled
+// per-phase columns, per-group phase lists and evaluation state, by
+// slice capacity — for stores that charge what they retain.
+func (e *SweepEvaluator) HeapBytes() int64 {
+	n := int(unsafe.Sizeof(*e)) + int(unsafe.Sizeof(sweepPhase{}))*cap(e.phases) +
+		int(unsafe.Sizeof([]int32(nil)))*cap(e.byGroup) + int(unsafe.Sizeof(PoolID(0)))*cap(e.pools) +
+		8*cap(e.contrib) + 8*cap(e.effBus)
+	for i := range e.phases {
+		p := &e.phases[i]
+		n += 4*cap(p.group) + 8*(cap(p.concR)+cap(p.concW)+cap(p.bus))
+	}
+	for _, b := range e.byGroup {
+		n += 4 * cap(b)
+	}
+	return int64(n)
+}
 
 // Clone returns an evaluator sharing the compiled read-only tables but
 // carrying private evaluation state (initialised to e's current

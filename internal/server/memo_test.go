@@ -18,7 +18,14 @@ import (
 // serveAnalyze answers one analyze request through the handler.
 func serveAnalyze(t *testing.T, h http.Handler, workload string, seed uint64) AnalyzeResponse {
 	t.Helper()
-	body := fmt.Sprintf(`{"workload":%q,"seed":%d}`, workload, seed)
+	return serveAnalyzeOn(t, h, workload, "", seed)
+}
+
+// serveAnalyzeOn answers one analyze request for a platform preset ("" is
+// the default) through the handler.
+func serveAnalyzeOn(t *testing.T, h http.Handler, workload, platform string, seed uint64) AnalyzeResponse {
+	t.Helper()
+	body := fmt.Sprintf(`{"workload":%q,"platform":%q,"seed":%d}`, workload, platform, seed)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(body)))
 	if rec.Code != http.StatusOK {
@@ -75,7 +82,18 @@ func normalizedCell(t *testing.T, c CellResult) string {
 // twice the budget above its pre-soak level, the hot set stays
 // zero-work, and /metrics shows the evictions and a retained count that
 // is the group's list length.
-func TestMemoSoakBoundsHeap(t *testing.T) {
+func TestMemoSoakBoundsHeap(t *testing.T) { soakMemo(t, "") }
+
+// TestMemoSoakBothPresetsBoundsHeap is the same soak with every key
+// asked for on both platform presets. Each capture entry is retained
+// before its second preset replays it, and its replay context then
+// memoises a second report and evaluator set: the growth the engine
+// recharges the entry for.
+func TestMemoSoakBothPresetsBoundsHeap(t *testing.T) { soakMemo(t, "xeonmax", "dual") }
+
+// soakMemo runs the memo soak, asking for every key on each of the
+// given platform presets in turn.
+func soakMemo(t *testing.T, platforms ...string) {
 	const budget = 1 << 20
 	dir := t.TempDir()
 	srv, err := New(Config{
@@ -90,18 +108,24 @@ func TestMemoSoakBoundsHeap(t *testing.T) {
 	h := srv.Handler()
 	hot := []uint64{1, 2}
 	for _, seed := range hot {
-		serveAnalyze(t, h, "npb.bt", seed)
+		for _, p := range platforms {
+			serveAnalyzeOn(t, h, "npb.bt", p, seed)
+		}
 	}
 	base := liveHeap()
 	const cold = 64 // npb.bt keys retain about 75 KiB each
 	for round := 0; round < 3; round++ {
 		for i := 0; i < cold; i++ {
-			serveAnalyze(t, h, "npb.bt", uint64(1000+i))
+			for _, p := range platforms {
+				serveAnalyzeOn(t, h, "npb.bt", p, uint64(1000+i))
+			}
 			seed := hot[i%len(hot)]
-			r := serveAnalyze(t, h, "npb.bt", seed)
-			if w := r.Counters.Work; w.Kernels != 0 || w.SweepEvaluations != 0 || w.Derived != 0 || !r.Result.AnalysisFromCache {
-				t.Fatalf("round %d: hot seed %d did work: analysis_from_cache=%v work %+v",
-					round, seed, r.Result.AnalysisFromCache, w)
+			for _, p := range platforms {
+				r := serveAnalyzeOn(t, h, "npb.bt", p, seed)
+				if w := r.Counters.Work; w.Kernels != 0 || w.SweepEvaluations != 0 || w.Derived != 0 || !r.Result.AnalysisFromCache {
+					t.Fatalf("round %d: hot seed %d on %q did work: analysis_from_cache=%v work %+v",
+						round, seed, p, r.Result.AnalysisFromCache, w)
+				}
 			}
 		}
 		grown := liveHeap() - base
@@ -116,8 +140,8 @@ func TestMemoSoakBoundsHeap(t *testing.T) {
 	if vals["hmptd_memo_evictions_total"] <= 0 {
 		t.Error("hmptd_memo_evictions_total is zero after a working set past the budget")
 	}
-	if got, want := vals["hmptd_flights_retained"], float64(srv.flights.Retained()); got != want || got >= 2*cold {
-		t.Errorf("hmptd_flights_retained = %v, want the group's %v, below the %d keys served", got, want, 2*cold)
+	if got, want := vals["hmptd_flights_retained"], float64(srv.flights.Retained()); got != want || got >= float64(2*cold*len(platforms)) {
+		t.Errorf("hmptd_flights_retained = %v, want the group's %v, below the %d keys served", got, want, 2*cold*len(platforms))
 	}
 }
 

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -121,12 +122,52 @@ func (j *journal) complete(rec *cellRecord) error {
 	return nil
 }
 
-// load returns the cell's completion record, or ok=false when the cell
-// is not (validly) journaled. Every failure mode — missing file, torn
-// record, wrong campaign, wrong cell, seal mismatch — reads as
-// *incomplete*: the cell re-executes rather than trusting a damaged
-// record. Damage beyond simple absence is counted.
+// settled reports whether the cell is journaled: its record exists and
+// its envelope validates (see envelope). The analysis body is not
+// decoded — Merge decodes each record once. Every failure mode — missing
+// file, torn record, wrong campaign, wrong cell, seal mismatch, another
+// analysis codec version — reads as *incomplete*: the cell re-executes
+// rather than trusting a damaged record. Damage beyond simple absence
+// is counted.
+func (j *journal) settled(cell int) bool {
+	raw, ok := j.read(cell)
+	if !ok {
+		return false
+	}
+	if _, _, err := j.envelope(cell, raw); err != nil {
+		j.ledger.Add(core.JournalInvalid)
+		return false
+	}
+	return true
+}
+
+// load returns the cell's decoded completion record, or ok=false when
+// the cell is not (validly) journaled. A record that settled accepts
+// but whose analysis body does not decode (or embeds the wrong
+// identifier, or trails bytes) is removed: workers read it as done and
+// would never re-run the cell, so removing it re-opens the cell for the
+// next worker. Failures are counted as settled counts them.
 func (j *journal) load(cell int) (*cellRecord, bool) {
+	raw, ok := j.read(cell)
+	if !ok {
+		return nil, false
+	}
+	rec, d, err := j.envelope(cell, raw)
+	if err != nil {
+		j.ledger.Add(core.JournalInvalid)
+		return nil, false
+	}
+	if err := j.body(cell, rec, d); err != nil {
+		j.ledger.Add(core.JournalInvalid)
+		_ = j.fs.Remove(j.path(cell))
+		return nil, false
+	}
+	return rec, true
+}
+
+// read returns the cell's record bytes, or ok=false when there are
+// none; a read failure other than absence is counted.
+func (j *journal) read(cell int) ([]byte, bool) {
 	raw, err := j.fs.ReadFile(j.path(cell))
 	if err != nil {
 		if !os.IsNotExist(err) {
@@ -134,39 +175,48 @@ func (j *journal) load(cell int) (*cellRecord, bool) {
 		}
 		return nil, false
 	}
-	rec, err := j.decode(cell, raw)
-	if err != nil {
-		j.ledger.Add(core.JournalInvalid)
-		return nil, false
-	}
-	return rec, true
+	return raw, true
 }
 
-// decode validates and decodes one record for the given cell: magic,
-// seal, version, manifest, cell index, the embedded analysis identifier
-// and the absence of trailing bytes.
+// decode validates and decodes one record for the given cell: its
+// envelope, then its analysis body.
 func (j *journal) decode(cell int, raw []byte) (*cellRecord, error) {
+	rec, d, err := j.envelope(cell, raw)
+	if err != nil {
+		return nil, err
+	}
+	if err := j.body(cell, rec, d); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
+// envelope validates everything of a record but its analysis body —
+// magic, seal, journal version, manifest, cell index, the header fields
+// and the body's leading analysis codec version — and returns the
+// header with a decoder positioned at the body.
+func (j *journal) envelope(cell int, raw []byte) (*cellRecord, *wire.Decoder, error) {
 	if len(raw) < len(journalMagic)+4+wire.SealLen {
-		return nil, fmt.Errorf("shard: journal record truncated (%d bytes)", len(raw))
+		return nil, nil, fmt.Errorf("shard: journal record truncated (%d bytes)", len(raw))
 	}
 	if string(raw[:len(journalMagic)]) != journalMagic {
-		return nil, fmt.Errorf("shard: bad journal magic %q", raw[:len(journalMagic)])
+		return nil, nil, fmt.Errorf("shard: bad journal magic %q", raw[:len(journalMagic)])
 	}
 	payload, err := wire.CheckSeal(raw)
 	if err != nil {
-		return nil, fmt.Errorf("shard: journal: %w", err)
+		return nil, nil, fmt.Errorf("shard: journal: %w", err)
 	}
 	d := wire.NewDecoder(payload[len(journalMagic):])
 	if v := d.U32(); v != journalVersion {
-		return nil, fmt.Errorf("shard: journal version %d, this build reads %d", v, journalVersion)
+		return nil, nil, fmt.Errorf("shard: journal version %d, this build reads %d", v, journalVersion)
 	}
 	rec := &cellRecord{}
 	if m := d.Str(); m != j.manifest {
-		return nil, fmt.Errorf("shard: journal record belongs to campaign %.12s, not %.12s", m, j.manifest)
+		return nil, nil, fmt.Errorf("shard: journal record belongs to campaign %.12s, not %.12s", m, j.manifest)
 	}
 	rec.Cell = int(d.I64())
 	if rec.Cell != cell {
-		return nil, fmt.Errorf("shard: journal record for cell %d found under %s", rec.Cell, cellName(cell))
+		return nil, nil, fmt.Errorf("shard: journal record for cell %d found under %s", rec.Cell, cellName(cell))
 	}
 	rec.Workload = d.Str()
 	rec.Platform = d.Str()
@@ -177,18 +227,34 @@ func (j *journal) decode(cell int, raw []byte) (*cellRecord, error) {
 	rec.SeedDerived = d.Bool()
 	rec.AnalysisFromCache = d.Bool()
 	rec.Coalesced = d.Bool()
+	if err := d.Err(); err != nil {
+		return nil, nil, fmt.Errorf("shard: journal: %w", err)
+	}
+	// The body's version is read without consuming it: ReadAnalysis
+	// checks it again when the body is decoded.
+	if b := d.Rest(); len(b) < 4 || binary.LittleEndian.Uint32(b) != core.AnalysisVersion {
+		return nil, nil, fmt.Errorf("shard: journal record for %s holds another analysis codec version", cellName(cell))
+	}
+	return rec, d, nil
+}
+
+// body decodes the analysis body envelope left d at into rec, counting
+// one AnalysisDecode, and checks its identifier and that nothing trails
+// it.
+func (j *journal) body(cell int, rec *cellRecord, d *wire.Decoder) error {
+	j.ledger.Add(core.AnalysisDecode)
 	an, id, err := core.ReadAnalysis(d)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if d.Len() != 0 {
-		return nil, fmt.Errorf("shard: %d trailing bytes after journal record", d.Len())
+		return fmt.Errorf("shard: %d trailing bytes after journal record", d.Len())
 	}
 	if want := cellRecordID(j.manifest, cell); id != want {
-		return nil, fmt.Errorf("shard: journal analysis identity mismatch for %s", cellName(cell))
+		return fmt.Errorf("shard: journal analysis identity mismatch for %s", cellName(cell))
 	}
 	rec.Analysis = an
-	return rec, nil
+	return nil
 }
 
 // cell converts a journal record to a campaign cell.

@@ -1,13 +1,16 @@
 package shard
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"strings"
 
 	"hmpt/internal/campaign"
+	"hmpt/internal/core"
 	"hmpt/internal/faultfs"
+	"hmpt/internal/parallel"
 )
 
 // QuarantinedCell is one entry of a merge's structured partial-failure
@@ -50,7 +53,20 @@ type Merged struct {
 // completed campaign never recomputes a cell. Merging an in-progress
 // campaign is safe (it reports Complete=false and sweeps nothing that
 // is still live — only settled campaigns shed their leases).
+//
+// Merge is the one place a journaled analysis is decoded. It decodes the
+// records on GOMAXPROCS goroutines and folds them in matrix order. A
+// record whose envelope validates but whose analysis body does not
+// decode is removed and its cell reported pending, so a fresh worker
+// re-runs it.
 func Merge(dir string, fs faultfs.FS) (*Merged, error) {
+	return MergeContext(context.Background(), dir, fs)
+}
+
+// MergeContext is Merge under ctx: it stops early with ctx's error, and
+// counts its journal events — one AnalysisDecode per record it decodes,
+// and each JournalInvalid — on the ledger ctx carries (core.WithLedger).
+func MergeContext(ctx context.Context, dir string, fs faultfs.FS) (*Merged, error) {
 	if fs == nil {
 		fs = faultfs.OS
 	}
@@ -63,15 +79,24 @@ func Merge(dir string, fs faultfs.FS) (*Merged, error) {
 		return nil, err
 	}
 	cells := enumerate(m)
-	j := &journal{fs: fs, dir: filepath.Join(dir, journalDir), manifest: man.ID}
+	j := &journal{fs: fs, dir: filepath.Join(dir, journalDir), manifest: man.ID, ledger: core.LedgerFrom(ctx)}
 	at := &attempts{
 		fs: fs, failDir: filepath.Join(dir, failDir), quarDir: filepath.Join(dir, quarantineDir),
 		manifest: man.ID,
 	}
+	recs := make([]*cellRecord, len(cells))
+	err = parallel.ForCtx(ctx, parallel.DefaultThreads(), len(cells), func(ctx context.Context, _, lo, hi int) {
+		for i := lo; i < hi && ctx.Err() == nil; i++ {
+			recs[i], _ = j.load(i)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
 
 	out := &Merged{Result: &campaign.Result{}, Complete: true}
 	for _, ref := range cells {
-		if rec, ok := j.load(ref.Index); ok {
+		if rec := recs[ref.Index]; rec != nil {
 			cell := rec.campaignCell()
 			// Provenance counters at cell granularity: a journaled
 			// campaign records where each cell's inputs came from, and

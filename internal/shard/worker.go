@@ -321,9 +321,10 @@ func (w *Worker) Run(ctx context.Context) (*Summary, error) {
 }
 
 // journaled settles cell i if its journal record exists, counting a
-// peer's record as a journal hit.
+// peer's record as a journal hit. It checks the record's envelope only
+// and decodes no analysis: Merge decodes each record once.
 func (w *Worker) journaled(i int) bool {
-	if _, ok := w.journal.load(i); !ok {
+	if !w.journal.settled(i) {
 		return false
 	}
 	w.settled[i] = true

@@ -175,6 +175,22 @@ func (d *Decoder) Err() error { return d.err }
 // Len returns the number of unconsumed bytes.
 func (d *Decoder) Len() int { return len(d.buf) - d.off }
 
+// Rest returns the unconsumed bytes without consuming them, or nil once
+// an error is latched. It lets a codec parse a long run of fixed-width
+// fields with one length check per run instead of one per field; the
+// caller then consumes what it parsed with Skip. The slice aliases the
+// decoder's buffer.
+func (d *Decoder) Rest() []byte {
+	if d.err != nil {
+		return nil
+	}
+	return d.buf[d.off:]
+}
+
+// Skip consumes the next n bytes, latching a truncation error if fewer
+// remain.
+func (d *Decoder) Skip(n int) { d.take(n) }
+
 // take consumes the next n bytes, or latches a truncation error and
 // returns nil.
 func (d *Decoder) take(n int) []byte {

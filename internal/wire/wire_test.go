@@ -222,6 +222,31 @@ func TestStrBytesAliasesBuffer(t *testing.T) {
 	}
 }
 
+// TestRestSkip: Rest shows the unconsumed bytes without consuming them,
+// Skip consumes them, a Skip past the end latches a truncation error,
+// and Rest is nil once an error is latched.
+func TestRestSkip(t *testing.T) {
+	buf := []byte{1, 0, 0, 0, 'a', 'b', 'c'}
+	d := NewDecoder(buf)
+	if d.U32() != 1 {
+		t.Fatal("U32 misread")
+	}
+	if rest := d.Rest(); string(rest) != "abc" || &rest[0] != &buf[4] || d.Len() != 3 {
+		t.Fatalf("Rest = %q with %d left, want the aliased %q with 3 left", rest, d.Len(), "abc")
+	}
+	d.Skip(2)
+	if d.Len() != 1 || d.U8() != 'c' || d.Err() != nil {
+		t.Fatalf("after Skip(2): %d left, err %v", d.Len(), d.Err())
+	}
+	d.Skip(1)
+	if d.Err() == nil {
+		t.Fatal("Skip past the end latched no error")
+	}
+	if d.Rest() != nil {
+		t.Error("Rest after an error is not nil")
+	}
+}
+
 // TestHashWriterStrChunks: Str hashes exactly the length prefix and the
 // string's bytes whatever the string's length relative to the scratch
 // chunk, and allocates nothing.
